@@ -83,7 +83,12 @@ def digest(records: list[dict]) -> str:
 
 
 def _peak_rss_mb() -> float:
-    """Peak RSS of this process plus that of each live pool worker."""
+    """Peak RSS of this process plus that of each live pool worker.
+
+    Pages a worker shares copy-on-write with the parent (NumPy, the
+    imported package, state built before the fork) count once per
+    process, so with a pool this overstates the memory in use.
+    """
     total_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     for child in multiprocessing.active_children():
         try:

@@ -32,7 +32,9 @@ WORK = ROOT / ".perfbench-work"
 #: Set-ups per run: at least this many, for at least ``SETUP_MIN_S``
 #: seconds; ``setup_s`` is their median.
 SETUP_MIN_RUNS = 3
-SETUP_MIN_S = 3.0
+SETUP_MIN_S = 4.0
+#: Fewest untraced and traced repetitions each in a ``--trace 1`` run.
+TRACE_MIN_PAIRS = 3
 #: Wall-clock budget of one invocation; no repetition starts that could
 #: overrun it.
 BUDGET_S = 170.0
@@ -41,7 +43,7 @@ BUDGET_S = 170.0
 #: fewest untraced repetitions however short ``--seconds``).
 WORKLOADS = {
     "dse_cold": ("fig7", 1, False, 5),
-    "dse_cold_par": ("fig7", 2, False, 7),
+    "dse_cold_par": ("fig7", 2, False, 4),
     "zoo_resim": ("fig8", 1, True, 8),
 }
 
@@ -59,10 +61,8 @@ class RepFailed(RuntimeError):
 def _run_rep(args, work: pathlib.Path, out: pathlib.Path, timeout: float, *extra):
     """Run one ``rep.py`` process; return its wall seconds and result."""
     out.unlink(missing_ok=True)
-    # One BLAS thread per process: with OpenBLAS's default of one thread
-    # per core, dse_cold_par's two workers run four compute threads on two
-    # cores and its repetitions scatter by +-30%.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    # The environment the CLI gets: BLAS threading is left to the package.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     command = [
         sys.executable,
         str(HERE / "rep.py"),
@@ -159,9 +159,10 @@ def main() -> int:
                 )
             else:
                 plain.append(rep)
-            enough = len(plain) >= (1 if args.trace else min_reps) and (
-                len(traced) >= args.trace
-            )
+            if args.trace:
+                enough = min(len(plain), len(traced)) >= TRACE_MIN_PAIRS
+            else:
+                enough = len(plain) >= min_reps
             if enough and time.perf_counter() - measured >= args.seconds:
                 break
             if remaining() < 1.5 * longest:
@@ -173,7 +174,7 @@ def main() -> int:
         _clear(work)
 
     reps = plain + traced
-    if not plain or len(traced) < args.trace:
+    if not plain or (args.trace and not traced):
         print("too few repetitions completed", file=sys.stderr)
         return 1
     points = reps[0]["points"]
