@@ -21,7 +21,7 @@ except ImportError:  # pragma: no cover - user guidance only
         "phi-repro is not installed; run `pip install -e .` from the repo root"
     )
 
-from repro.baselines import PhiAccelerator, available_baselines, get_baseline
+from repro.baselines import available_baselines, get_accelerator, get_baseline
 from repro.core import PhiConfig
 from repro.workloads import generate_workload
 
@@ -44,7 +44,7 @@ def main() -> None:
         reports = {}
         for name in available_baselines():
             reports[name] = get_baseline(name).simulate(workload)
-        reports["phi"] = PhiAccelerator(phi_config=phi_config).simulate(workload)
+        reports["phi"] = get_accelerator("phi", phi_config=phi_config).simulate(workload)
 
         reference = reports["eyeriss"]
         header = f"{'accelerator':<12}{'GOP/s':>10}{'speedup':>10}{'GOP/J':>10}{'energy x':>10}"

@@ -28,7 +28,7 @@ except ImportError:  # pragma: no cover - user guidance only
         "phi-repro is not installed; run `pip install -e .` from the repo root"
     )
 
-from repro.baselines import PhiAccelerator, get_baseline
+from repro.baselines import get_accelerator, get_baseline
 from repro.core import PhiCalibrator, PhiConfig, operation_counts, sparsity_breakdown
 from repro.datasets import make_dataset
 from repro.snn import build_model
@@ -83,7 +83,9 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 4. Simulate the Phi accelerator vs the dense baseline.
     # ------------------------------------------------------------------
-    phi = PhiAccelerator(phi_config=config).simulate(workload, calibration=calibration)
+    phi = get_accelerator("phi", phi_config=config).simulate(
+        workload, calibration=calibration
+    )
     eyeriss = get_baseline("eyeriss").simulate(workload)
     print("\nAccelerator comparison (same workload, same OP definition):")
     print(f"  Spiking Eyeriss : {eyeriss.throughput_gops:8.2f} GOP/s   "

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from ..hw.simulator import SimulationResult
+from ..hw.pipeline import RunResult
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def weight_traffic_from_layers(
     )
 
 
-def _layer_records(result: SimulationResult) -> list[dict]:
+def _layer_records(result: RunResult) -> list[dict]:
     return [
         {
             "m": layer.m,
@@ -113,11 +113,11 @@ def _layer_records(result: SimulationResult) -> list[dict]:
     ]
 
 
-def activation_traffic(result: SimulationResult) -> ActivationTraffic:
+def activation_traffic(result: RunResult) -> ActivationTraffic:
     """Aggregate Fig. 12a activation-traffic comparison for one model."""
     return activation_traffic_from_layers(_layer_records(result))
 
 
-def weight_traffic(result: SimulationResult) -> WeightTraffic:
+def weight_traffic(result: RunResult) -> WeightTraffic:
     """Aggregate Fig. 12b weight-traffic comparison for one model."""
     return weight_traffic_from_layers(_layer_records(result))

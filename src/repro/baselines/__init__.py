@@ -8,9 +8,7 @@ baselines identically.
 """
 
 from .base import (
-    AcceleratorReport,
     BaselineAccelerator,
-    BaselineLayerResult,
     load_imbalance_cycles,
     paper_operations,
 )
@@ -19,11 +17,9 @@ from .ptb import PTB
 from .registry import (
     BASELINE_CLASSES,
     BASELINE_ORDER,
-    PhiAccelerator,
     available_baselines,
     get_accelerator,
     get_baseline,
-    simulation_to_report,
 )
 from .sato import SATO
 from .spinalflow import SpinalFlow
@@ -31,8 +27,6 @@ from .stellar import Stellar
 
 __all__ = [
     "BaselineAccelerator",
-    "BaselineLayerResult",
-    "AcceleratorReport",
     "paper_operations",
     "load_imbalance_cycles",
     "SpikingEyeriss",
@@ -40,11 +34,9 @@ __all__ = [
     "SATO",
     "SpinalFlow",
     "Stellar",
-    "PhiAccelerator",
     "get_accelerator",
     "get_baseline",
     "available_baselines",
-    "simulation_to_report",
     "BASELINE_CLASSES",
     "BASELINE_ORDER",
 ]

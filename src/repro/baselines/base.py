@@ -15,8 +15,7 @@ DRAM) producing the same canonical
 :class:`~repro.hw.pipeline.LayerResult` / :class:`~repro.hw.pipeline.RunResult`
 schema as the cycle-level Phi simulator, with energy accounted at run
 level (static power × runtime + dynamic energy per executed
-accumulation).  ``AcceleratorReport`` and ``BaselineLayerResult`` are
-aliases of the canonical classes, kept for existing callers.
+accumulation).
 """
 
 from __future__ import annotations
@@ -41,11 +40,6 @@ from ..hw.pipeline import (
     StageRecord,
 )
 from ..workloads.workload import LayerWorkload, ModelWorkload
-
-#: Compatibility aliases: baselines report through the canonical pipeline
-#: schema (see ``repro.hw.pipeline``).
-BaselineLayerResult = LayerResult
-AcceleratorReport = RunResult
 
 #: On-chip SRAM bytes touched per executed accumulation: a weight element
 #: (2 B), a partial-sum read-modify-write (2 x 2 B) and amortised control /

@@ -1,26 +1,21 @@
-"""Registry of baseline accelerators and the Phi adapter.
+"""Registry of baseline accelerators.
 
 The experiments iterate over accelerators by name; :func:`get_baseline`
 returns analytical baseline models and :func:`get_accelerator` resolves
 *any* accelerator — Phi included — to an
 :class:`~repro.hw.pipeline.AcceleratorModel`, so Table 2 / Fig. 8 style
-comparisons are one loop over one interface.  Since the unified-pipeline
-refactor every model already emits the canonical
-:class:`~repro.hw.pipeline.RunResult`; :class:`PhiAccelerator` and
-:func:`simulation_to_report` survive as thin compatibility shims.
+comparisons are one loop over one interface: every model emits the
+canonical :class:`~repro.hw.pipeline.RunResult`.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Type
 
-from ..core.calibration import ModelCalibration
 from ..core.config import PhiConfig
 from ..hw.config import ArchConfig
-from ..hw.pipeline import AcceleratorModel, RunResult
+from ..hw.pipeline import AcceleratorModel
 from ..hw.simulator import PhiSimulator
-from ..workloads.workload import ModelWorkload
 from .base import BaselineAccelerator
 from .eyeriss import SpikingEyeriss
 from .ptb import PTB
@@ -76,64 +71,8 @@ def get_accelerator(
     -------
     AcceleratorModel
         The model; callers drive it exclusively through the unified
-        ``simulate`` / ``simulate_many`` interface.
+        ``simulate`` interface.
     """
     if name == "phi":
         return PhiSimulator(config, phi_config)
     return get_baseline(name, config)
-
-
-class PhiAccelerator:
-    """Compatibility adapter for the pre-pipeline baseline interface.
-
-    The Phi simulator now implements
-    :class:`~repro.hw.pipeline.AcceleratorModel` directly and returns the
-    canonical :class:`~repro.hw.pipeline.RunResult`; this wrapper simply
-    delegates and is kept so existing comparison scripts keep working.
-    """
-
-    name = PhiSimulator.name
-    #: Table 3 total area.
-    area_mm2 = PhiSimulator.area_mm2
-
-    def __init__(
-        self,
-        arch_config: ArchConfig | None = None,
-        phi_config: PhiConfig | None = None,
-    ) -> None:
-        self.config = arch_config or ArchConfig()
-        self.simulator = PhiSimulator(self.config, phi_config)
-
-    def simulate(
-        self,
-        workload: ModelWorkload,
-        *,
-        calibration: ModelCalibration | None = None,
-    ) -> RunResult:
-        """Run the Phi simulator; the result is already a canonical report."""
-        return self.simulator.run(workload, calibration=calibration)
-
-
-def simulation_to_report(
-    result: RunResult,
-    *,
-    area_mm2: float = PhiSimulator.area_mm2,
-    name: str = "phi",
-) -> RunResult:
-    """Compatibility shim: a simulation result already is the report.
-
-    Parameters
-    ----------
-    result:
-        A Phi :class:`~repro.hw.pipeline.RunResult`.
-    area_mm2, name:
-        Overrides applied to the returned copy (historically this
-        function re-keyed the record for ablated Phi variants).
-
-    Returns
-    -------
-    RunResult
-        A shallow copy with the requested accelerator name and area; the
-        layer list is shared with the input.
-    """
-    return replace(result, accelerator=name, area_mm2=area_mm2)

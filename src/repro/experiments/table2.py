@@ -71,7 +71,6 @@ def run_table2(
     *,
     model_name: str = "vgg16",
     dataset_name: str = "cifar100",
-    use_train_calibration: bool = False,
     engine: SweepEngine | None = None,
 ) -> Table2Result:
     """Reproduce Table 2 on the scaled VGG-16 / CIFAR100 workload.
@@ -82,13 +81,6 @@ def run_table2(
         Experiment scale tier.
     model_name, dataset_name:
         The workload the table compares accelerators on.
-    use_train_calibration:
-        Retained for API compatibility; both values produce identical
-        results.  Calibration is deterministic, so the simulator's
-        per-layer self-calibration and an explicit whole-workload
-        calibration yield the same patterns (see DESIGN.md, "The
-        engine"), and the engine shares one memoised calibration either
-        way.
     engine:
         Sweep engine to execute the per-accelerator points on; defaults to
         a serial, cache-less engine.

@@ -38,7 +38,7 @@ from .preprocessor import (
     Preprocessor,
     PreprocessorResult,
 )
-from .simulator import LayerSimulation, PhiSimulator, SimulationResult
+from .simulator import PhiSimulator
 
 __all__ = [
     "ArchConfig",
@@ -81,7 +81,5 @@ __all__ = [
     "RunResult",
     "Stage",
     "StageRecord",
-    "LayerSimulation",
-    "SimulationResult",
     "PhiSimulator",
 ]

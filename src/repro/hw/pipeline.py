@@ -9,17 +9,14 @@ result schema:
 
 * :class:`StageRecord` — uniform per-stage accounting (cycles, DRAM
   bytes, energy, free-form detail counters),
-* :class:`LayerResult` — the per-layer record, a superset of what the
-  pre-refactor ``LayerSimulation`` and ``BaselineLayerResult`` carried,
+* :class:`LayerResult` — the per-layer record,
 * :class:`RunResult` — the per-workload record with all shared derived
   metrics (total cycles, runtime, GOPS, Joules, GOPS/J, GOPS/mm²,
   DRAM bytes) implemented once in :class:`DerivedMetricsMixin`,
 * :class:`AcceleratorModel` — the interface every accelerator plugs
-  into, with a batched :meth:`AcceleratorModel.simulate_many` entry
-  point for running one configuration across many workloads (the sweep
-  engine's counterpart is :func:`repro.runner.engine.simulate_many`,
-  which batches whole *point* grids — one model per configuration —
-  into workload-grouped dispatches).
+  into.  Batching lives in the sweep engine
+  (:func:`repro.runner.engine.simulate_many`), which runs whole *point*
+  grids — one model per configuration — in workload-grouped dispatches.
 
 The sweep engine (:mod:`repro.runner.engine`) flattens a
 :class:`RunResult` into the cache-schema-v3 record that the experiment
@@ -31,7 +28,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Any, Iterable, Protocol, runtime_checkable
 
 from ..core.metrics import (
     OperationCounts,
@@ -215,11 +212,10 @@ class LayerResult:
 class DerivedMetricsMixin:
     """Shared derived metrics over a ``layers`` list.
 
-    Implemented once and used by :class:`RunResult` (and therefore by
-    Phi's ``SimulationResult`` and the baselines' ``AcceleratorReport``,
-    which are the same class today): the consumer-visible metric set the
-    paper's Table 2 / Fig. 8 comparisons are built from.  Hosts must
-    provide ``layers``, ``frequency_hz``, ``area_mm2`` and ``energy``.
+    Implemented once and used by :class:`RunResult`: the
+    consumer-visible metric set the paper's Table 2 / Fig. 8 comparisons
+    are built from.  Hosts must provide ``layers``, ``frequency_hz``,
+    ``area_mm2`` and ``energy``.
     """
 
     layers: list[LayerResult]
@@ -388,54 +384,3 @@ class AcceleratorModel(ABC):
     @abstractmethod
     def simulate(self, workload: "ModelWorkload", **kwargs: Any) -> RunResult:
         """Simulate a complete model workload into a :class:`RunResult`."""
-
-    def simulate_many(
-        self,
-        workloads: Sequence["ModelWorkload"],
-        *,
-        calibrations: Sequence[Any] | None = None,
-        decompositions: Sequence[Any] | None = None,
-        **kwargs: Any,
-    ) -> list[RunResult]:
-        """Simulate a batch of workloads with one model instance.
-
-        The default implementation loops :meth:`simulate`; models whose
-        state amortises across workloads (shared calibrations, warmed
-        caches) override it to process the batch more cheaply than
-        isolated calls — :meth:`PhiSimulator.simulate_many
-        <repro.hw.simulator.PhiSimulator.simulate_many>` advances every
-        layer of every workload in one NumPy lockstep pass.  This is
-        the *model-level* batched entry for library callers running one
-        configuration across many workloads; sweep grids (one model per
-        configuration) are batched by the engine-level
-        :func:`repro.runner.engine.simulate_many` instead.
-
-        Parameters
-        ----------
-        workloads:
-            The workloads to simulate.
-        calibrations, decompositions:
-            Optional per-workload sequences, mirroring the batched Phi
-            signature so callers can target the base API uniformly.  A
-            ``None`` entry (or omitting the sequence) simulates that
-            workload exactly as a bare :meth:`simulate` call would;
-            non-``None`` entries are forwarded as the ``calibration`` /
-            ``decompositions`` keyword arguments, so models that do not
-            accept them surface the same ``TypeError`` a direct call
-            would.
-        """
-        if calibrations is None:
-            calibrations = [None] * len(workloads)
-        if decompositions is None:
-            decompositions = [None] * len(workloads)
-        results = []
-        for workload, calibration, decomposition in zip(
-            workloads, calibrations, decompositions
-        ):
-            per_call = dict(kwargs)
-            if calibration is not None:
-                per_call["calibration"] = calibration
-            if decomposition is not None:
-                per_call["decompositions"] = decomposition
-            results.append(self.simulate(workload, **per_call))
-        return results

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.patterns import NO_PATTERN, PatternSet
+from ..core.patterns import PatternSet
 from ..core.sparsity import TileDecomposition, decompose_tile
 from .config import ArchConfig
 
@@ -716,21 +716,6 @@ class PreprocessorResult:
         return self.packer.packs
 
 
-@dataclass(frozen=True)
-class PreprocessorCounts:
-    """Counter-level result of preprocessing one tile.
-
-    The simulator's fast path (:meth:`Preprocessor.process_tile_counts`)
-    carries only the aggregates the cycle and energy models consume.
-    """
-
-    cycles: int
-    comparisons: int
-    total_nonzeros: int
-    filtered_rows: int
-    packs: PackCounts
-
-
 class Preprocessor:
     """The full Phi Preprocessor pipeline for one activation tile."""
 
@@ -758,32 +743,4 @@ class Preprocessor:
         packed = self.packer.pack_rows(compressed.rows)
         return PreprocessorResult(
             matcher=matched, compressor=compressed, packer=packed
-        )
-
-    def process_tile_counts(
-        self,
-        tile: np.ndarray,
-        patterns: PatternSet,
-        *,
-        needs_psum: bool = True,
-        decomposition: TileDecomposition | None = None,
-    ) -> PreprocessorCounts:
-        """Counter-level :meth:`process_tile` (the simulator's fast path).
-
-        Produces exactly the aggregates :meth:`process_tile` would report
-        — pipelined cycles, matcher comparisons, Level 2 nonzeros and the
-        :class:`PackCounts` of the packed tile — without materialising
-        compressed rows, pack units or pack objects.
-        """
-        matched = self.matcher.match_tile(tile, patterns, decomposition=decomposition)
-        compressed = self.compressor.compress_counts(
-            matched.level2, needs_psum=needs_psum
-        )
-        packed = self.packer.pack_counts(compressed)
-        return PreprocessorCounts(
-            cycles=max(matched.cycles, compressed.cycles, packed.cycles),
-            comparisons=matched.comparisons,
-            total_nonzeros=compressed.total_nonzeros,
-            filtered_rows=compressed.filtered_rows,
-            packs=packed,
         )

@@ -8,9 +8,9 @@ tile level, and reports cycles, memory traffic and energy.
 Execution model per layer (K-first tiling, Section 4.1), expressed as a
 :class:`~repro.hw.pipeline.Pipeline` of five stages:
 
-* **tiling** — the activation matrix is split into ``tile_m``-row M
-  tiles, ``tile_k`` wide K partitions and ``tile_n`` wide N tiles, and
-  decomposed once into the two-level Phi representation,
+* **tiling** — the activation matrix, decomposed once into the
+  two-level Phi representation, is split into ``tile_m``-row M tiles,
+  ``tile_k`` wide K partitions and ``tile_n`` wide N tiles,
 * **preprocess** — the Preprocessor converts every (M tile, partition)
   into the Level 1 pattern-index column and the packed Level 2
   representation; this work is overlapped with the previous tile's
@@ -27,8 +27,12 @@ Each stage emits a :class:`~repro.hw.pipeline.StageRecord`; the layer
 outcome is the canonical :class:`~repro.hw.pipeline.LayerResult` and a
 model run aggregates into :class:`~repro.hw.pipeline.RunResult` — the
 same schema every baseline accelerator reports through.
-``LayerSimulation`` and ``SimulationResult`` remain as aliases of those
-two classes for existing callers.
+
+Every simulation runs through :func:`simulate_phi_many`: it decomposes
+each layer, plans its preprocessing and packs the jobs of every layer of
+every task in one lockstep batch, then runs the stages, which only read
+what it seeded into the context.  :meth:`PhiSimulator.simulate` and
+:meth:`PhiSimulator.simulate_layer` are batches of one.
 """
 
 from __future__ import annotations
@@ -64,18 +68,14 @@ from .preprocessor import (
     pack_counts_batch,
 )
 
-#: Compatibility aliases: the pre-pipeline result classes are the
-#: canonical schema now (see ``repro.hw.pipeline``).
-LayerSimulation = LayerResult
-SimulationResult = RunResult
-
-
 class PhiTilingStage:
-    """Tiling + decomposition: split the layer and decompose it once.
+    """Tiling: record the layer's M × K × N tile grid.
 
-    Rows decompose independently, so the per-tile views the later stages
-    need are sliced out of this single decomposition instead of being
-    re-matched from scratch.
+    :func:`simulate_phi_many` seeds the layer's decomposition, the
+    metrics derived from it and the preprocessing plan, whose M tiles
+    and K partitions this stage records.  Rows decompose independently,
+    so the per-tile views the later stages need are sliced out of that
+    single decomposition.
     """
 
     name = "tiling"
@@ -84,52 +84,20 @@ class PhiTilingStage:
         self.simulator = simulator
 
     def run(self, ctx: LayerContext) -> StageRecord:
-        """Decompose the layer and record the tile grid in the context."""
-        arch = self.simulator.arch
-        layer = ctx.layer
-        # A caller that already holds the layer's decomposition (e.g. the
-        # sweep engine's artifact store) seeds it into the context; the
-        # decomposition is a deterministic function of (activations,
-        # patterns, tile_k), so the seeded object is bit-identical to
-        # what this stage would compute.
-        decomposition = ctx.scratch.get("decomposition")
-        if decomposition is None:
-            decomposition = decompose_matrix(
-                layer.activations, ctx.calibration.pattern_sets, arch.tile_k
-            )
-        boundaries = partition_boundaries(layer.k, arch.tile_k)
-        m_tiles = [
-            (m_start, min(m_start + arch.tile_m, layer.m))
-            for m_start in range(0, layer.m, arch.tile_m)
-        ]
-        # The density/op-count metrics and the pattern-index matrix are
-        # pure functions of the decomposition; a batched caller that
-        # shares one decomposition across many points seeds them so they
-        # are computed once per decomposition instead of once per point.
-        breakdown = ctx.scratch.get("breakdown")
-        if breakdown is None:
-            breakdown = sparsity_breakdown(decomposition)
-        ops = ctx.scratch.get("ops")
-        if ops is None:
-            ops = operation_counts(decomposition)
-        pattern_index_matrix = ctx.scratch.get("pattern_index_matrix")
-        if pattern_index_matrix is None:
-            pattern_index_matrix = decomposition.pattern_index_matrix()
+        """Record the tile grid in the context."""
+        plan = ctx.scratch["preprocess_plan"]
+        num_n_tiles = int(np.ceil(ctx.layer.n / self.simulator.arch.tile_n))
         ctx.scratch.update(
-            decomposition=decomposition,
-            breakdown=breakdown,
-            ops=ops,
-            boundaries=boundaries,
-            m_tiles=m_tiles,
-            num_n_tiles=int(np.ceil(layer.n / arch.tile_n)),
-            pattern_index_matrix=pattern_index_matrix,
+            m_tiles=plan.m_tiles,
+            num_partitions=plan.num_partitions,
+            num_n_tiles=num_n_tiles,
         )
         return StageRecord(
             name=self.name,
             detail={
-                "m_tiles": len(m_tiles),
-                "k_partitions": len(boundaries),
-                "n_tiles": ctx.scratch["num_n_tiles"],
+                "m_tiles": len(plan.m_tiles),
+                "k_partitions": plan.num_partitions,
+                "n_tiles": num_n_tiles,
             },
         )
 
@@ -142,9 +110,9 @@ class PreprocessPlan:
     (M tile, partition) pair — M-tile-major, partition-minor, the exact
     iteration order of :class:`PhiPreprocessStage` — plus the per-
     partition pattern counts the matcher-comparison counter needs.
-    Planning is separated from execution so a batched caller
-    (:func:`simulate_phi_many`) can pack the jobs of many layers and
-    many configurations in a single lockstep pass.
+    Planning is separated from execution so :func:`simulate_phi_many`
+    can pack the jobs of many layers and many configurations in a single
+    lockstep pass.
     """
 
     m_tiles: list[tuple[int, int]]
@@ -205,11 +173,10 @@ class PhiPreprocessStage:
 
     The preprocessor overlaps with the previous tile's compute, so its
     cycles are recorded (they burn energy) but never enter the layer's
-    critical path.  All of a layer's (M tile, partition) pack machines
-    are independent, so they run as one batched lockstep pass
-    (:func:`~repro.hw.preprocessor.pack_counts_batch`); a cross-point
-    caller seeds an even wider batch via ``preprocess_plan`` /
-    ``preprocess_packed`` in the context scratch.
+    critical path.  The pack machines of every (M tile, partition) run
+    in :func:`simulate_phi_many`'s lockstep batch
+    (:func:`~repro.hw.preprocessor.pack_counts_batch`), which seeds this
+    layer's ``preprocess_plan`` and ``preprocess_packed`` slice.
     """
 
     name = "preprocess"
@@ -219,16 +186,8 @@ class PhiPreprocessStage:
 
     def run(self, ctx: LayerContext) -> StageRecord:
         """Produce the per-M-tile pack counts and preprocessing counters."""
-        sim = self.simulator
-        plan = ctx.scratch.pop("preprocess_plan", None)
-        packed = ctx.scratch.pop("preprocess_packed", None)
-        if plan is None:
-            plan = plan_preprocess(
-                sim.arch, ctx.calibration, ctx.scratch["decomposition"], ctx.layer
-            )
-        if packed is None:
-            packer = sim.preprocessor.packer
-            packed = pack_counts_batch([(packer, c) for c in plan.compressed])
+        plan = ctx.scratch.pop("preprocess_plan")
+        packed = ctx.scratch.pop("preprocess_packed")
 
         packs_per_tile: list[PackCounts] = []
         preproc_cycles = 0.0
@@ -347,7 +306,7 @@ class PhiDramStage:
         layer = ctx.layer
         decomposition = ctx.scratch["decomposition"]
         pattern_index_matrix = ctx.scratch["pattern_index_matrix"]
-        num_partitions = len(ctx.scratch["boundaries"])
+        num_partitions = ctx.scratch["num_partitions"]
         ops = ctx.scratch["ops"]
 
         # Distinct (partition, pattern) pairs used anywhere in the layer —
@@ -515,6 +474,31 @@ class PhiSimulator(AcceleratorModel):
         calibrator = PhiCalibrator(self.phi_config)
         return calibrator.calibrate_layer(layer.name, layer.activations)
 
+    def simulate(
+        self,
+        workload: ModelWorkload,
+        *,
+        calibration: ModelCalibration | None = None,
+        decompositions: Mapping | None = None,
+    ) -> RunResult:
+        """Simulate every layer of a model workload (a batch of one task).
+
+        Parameters
+        ----------
+        workload:
+            The per-layer activation / weight matrices.
+        calibration:
+            Patterns calibrated on a training subset.  When omitted, each
+            layer is calibrated on its own activations (upper bound on
+            pattern quality; Section 3.2 shows train-calibrated patterns
+            generalise, so the difference is small).
+        decompositions:
+            Optional mapping of layer name to precomputed
+            :class:`~repro.core.sparsity.MatrixDecomposition`; layers not
+            in the mapping decompose as usual.
+        """
+        return simulate_phi_many([(self, workload, calibration, decompositions)])[0]
+
     def simulate_layer(
         self,
         layer: LayerWorkload,
@@ -522,7 +506,7 @@ class PhiSimulator(AcceleratorModel):
         layer_calibration: LayerCalibration | None = None,
         decomposition=None,
     ) -> LayerResult:
-        """Simulate one spike GEMM on the Phi accelerator.
+        """Simulate one spike GEMM (a batch of one one-layer task).
 
         Parameters
         ----------
@@ -533,38 +517,52 @@ class PhiSimulator(AcceleratorModel):
         decomposition:
             Optional precomputed
             :class:`~repro.core.sparsity.MatrixDecomposition` of the
-            layer under ``layer_calibration`` and ``arch.tile_k`` — the
-            tiling stage then skips the (deterministic) re-decomposition.
+            layer under ``layer_calibration`` and ``arch.tile_k``.
         """
-        if layer_calibration is None:
-            layer_calibration = self._calibration_for(layer, None)
-        ctx = self._layer_context(layer, layer_calibration, decomposition)
-        return self.pipeline.run_layer(ctx)
+        calibration = ModelCalibration(self.phi_config)
+        if layer_calibration is not None:
+            calibration.layers[layer.name] = layer_calibration
+        workload = ModelWorkload(model_name="", dataset_name="", layers=[layer])
+        result = self.simulate(
+            workload,
+            calibration=calibration,
+            decompositions={layer.name: decomposition},
+        )
+        return result.layers[0]
 
     def _layer_context(
         self,
         layer: LayerWorkload,
         layer_calibration: LayerCalibration,
         decomposition,
+        memo: dict,
     ) -> LayerContext:
-        """Validated :class:`LayerContext` for one layer simulation."""
+        """Validated :class:`LayerContext` seeded with the layer's decomposition.
+
+        A missing ``decomposition`` is computed, once per (activation
+        matrix, calibration, partition width) in ``memo``.
+        """
         if layer_calibration.total_width != layer.k:
             raise ValueError(
                 f"calibration width {layer_calibration.total_width} does not match "
                 f"layer K={layer.k}"
             )
-        ctx = LayerContext(layer=layer, calibration=layer_calibration)
-        if decomposition is not None:
-            if (
-                decomposition.num_rows != layer.m
-                or decomposition.total_width != layer.k
-            ):
-                raise ValueError(
-                    f"decomposition shape ({decomposition.num_rows}, "
-                    f"{decomposition.total_width}) does not match layer "
-                    f"({layer.m}, {layer.k})"
+        if decomposition is None:
+            memo_key = (id(layer.activations), id(layer_calibration), self.arch.tile_k)
+            decomposition = memo.get(memo_key)
+            if decomposition is None:
+                decomposition = decompose_matrix(
+                    layer.activations, layer_calibration.pattern_sets, self.arch.tile_k
                 )
-            ctx.scratch["decomposition"] = decomposition
+                memo[memo_key] = decomposition
+        elif decomposition.num_rows != layer.m or decomposition.total_width != layer.k:
+            raise ValueError(
+                f"decomposition shape ({decomposition.num_rows}, "
+                f"{decomposition.total_width}) does not match layer "
+                f"({layer.m}, {layer.k})"
+            )
+        ctx = LayerContext(layer=layer, calibration=layer_calibration)
+        ctx.scratch["decomposition"] = decomposition
         return ctx
 
     def _layer_energy(self, sim: LayerResult) -> EnergyBreakdown:
@@ -595,99 +593,6 @@ class PhiSimulator(AcceleratorModel):
             dram_bytes=sim.dram_bytes,
         )
 
-    # ------------------------------------------------------------------ #
-    def run(
-        self,
-        workload: ModelWorkload,
-        *,
-        calibration: ModelCalibration | None = None,
-        decompositions=None,
-    ) -> RunResult:
-        """Simulate every layer of a model workload.
-
-        Parameters
-        ----------
-        workload:
-            The per-layer activation / weight matrices.
-        calibration:
-            Patterns calibrated on a training subset.  When omitted, each
-            layer is calibrated on its own activations (upper bound on
-            pattern quality; Section 3.2 shows train-calibrated patterns
-            generalise, so the difference is small).
-        decompositions:
-            Optional mapping of layer name to precomputed
-            :class:`~repro.core.sparsity.MatrixDecomposition`; layers not
-            in the mapping decompose as usual.
-        """
-        result = RunResult(
-            accelerator=self.name,
-            model_name=workload.model_name,
-            dataset_name=workload.dataset_name,
-            area_mm2=self.area_mm2,
-            config=self.arch,
-        )
-        decompositions = decompositions or {}
-        for layer in workload:
-            layer_calibration = self._calibration_for(layer, calibration)
-            result.layers.append(
-                self.simulate_layer(
-                    layer,
-                    layer_calibration=layer_calibration,
-                    decomposition=decompositions.get(layer.name),
-                )
-            )
-        return result
-
-    def simulate(
-        self,
-        workload: ModelWorkload,
-        *,
-        calibration: ModelCalibration | None = None,
-        decompositions=None,
-    ) -> RunResult:
-        """Alias of :meth:`run` satisfying the :class:`AcceleratorModel` API."""
-        return self.run(
-            workload, calibration=calibration, decompositions=decompositions
-        )
-
-    def simulate_many(
-        self,
-        workloads: Sequence[ModelWorkload],
-        *,
-        calibrations: Sequence[ModelCalibration | None] | None = None,
-        decompositions: Sequence[Mapping | None] | None = None,
-        **kwargs,
-    ) -> list[RunResult]:
-        """Batched :meth:`simulate`: one stacked pass over many workloads.
-
-        Overrides the :class:`~repro.hw.pipeline.AcceleratorModel`
-        default loop: the compress/pack machines of *every* layer of
-        *every* workload are advanced in one NumPy lockstep batch (see
-        :func:`simulate_phi_many`), with per-workload results sliced
-        back out bit-identically to sequential :meth:`simulate` calls.
-
-        Parameters
-        ----------
-        workloads:
-            The workloads to simulate under this configuration.
-        calibrations, decompositions:
-            Optional per-workload counterparts of the :meth:`run`
-            keyword arguments (``None`` entries self-calibrate /
-            self-decompose exactly as :meth:`run` would).
-        """
-        if calibrations is None:
-            calibrations = [None] * len(workloads)
-        if decompositions is None:
-            decompositions = [None] * len(workloads)
-        return simulate_phi_many(
-            [
-                (self, workload, calibration, decomposition)
-                for workload, calibration, decomposition in zip(
-                    workloads, calibrations, decompositions
-                )
-            ]
-        )
-
 
 def simulate_phi_many(
     tasks: Sequence[
@@ -701,15 +606,14 @@ def simulate_phi_many(
 ) -> list[RunResult]:
     """Simulate many (simulator, workload) tasks as one stacked batch.
 
-    This is the cross-point batched execution path of the sweep engine:
-    the preprocessing jobs of every layer of every task — potentially
-    under *different* Phi/arch configurations — are planned first, packed
-    in a single lockstep batch (:func:`~repro.hw.preprocessor.
-    pack_counts_batch`), and the per-task pipelines then consume their
-    slice of the batch.  Results are bit-identical to calling
-    :meth:`PhiSimulator.run` per task, because every per-layer quantity
-    is computed by the same (deterministic) code on the same inputs —
-    only the loop structure changes (property-tested).
+    This is the one Phi execution path: the preprocessing jobs of every
+    layer of every task — potentially under *different* Phi/arch
+    configurations — are planned first, packed in a single lockstep batch
+    (:func:`~repro.hw.preprocessor.pack_counts_batch`), and the per-task
+    pipelines then consume their slice of the batch.  A task's result
+    does not depend on the batch it runs in, because every per-layer
+    quantity is computed by the same (deterministic) code on the same
+    inputs — only the loop structure changes (property-tested).
 
     Work shared across tasks is computed once per distinct input rather
     than once per task: layer decompositions (keyed by activation matrix,
@@ -720,7 +624,8 @@ def simulate_phi_many(
     ----------
     tasks:
         ``(simulator, workload, calibration, decompositions)`` tuples —
-        the last two may be ``None``, matching :meth:`PhiSimulator.run`.
+        the last two may be ``None``, matching
+        :meth:`PhiSimulator.simulate`.
 
     Returns
     -------
@@ -747,22 +652,13 @@ def simulate_phi_many(
         contexts = []
         for layer in workload:
             layer_calibration = simulator._calibration_for(layer, calibration)
-            decomposition = decompositions.get(layer.name)
-            if decomposition is None:
-                memo_key = (
-                    id(layer.activations),
-                    id(layer_calibration),
-                    simulator.arch.tile_k,
-                )
-                decomposition = decomposition_memo.get(memo_key)
-                if decomposition is None:
-                    decomposition = decompose_matrix(
-                        layer.activations,
-                        layer_calibration.pattern_sets,
-                        simulator.arch.tile_k,
-                    )
-                    decomposition_memo[memo_key] = decomposition
-            ctx = simulator._layer_context(layer, layer_calibration, decomposition)
+            ctx = simulator._layer_context(
+                layer,
+                layer_calibration,
+                decompositions.get(layer.name),
+                decomposition_memo,
+            )
+            decomposition = ctx.scratch["decomposition"]
             metrics = metrics_memo.get(id(decomposition))
             if metrics is None:
                 metrics = (

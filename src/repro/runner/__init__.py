@@ -29,7 +29,6 @@ from .engine import (
     simulate_many,
     simulate_point,
     summarize_run,
-    summarize_simulation,
     validate_record,
 )
 from .store import STORE_SCHEMA_VERSION, ArtifactStore, default_store_dir
@@ -55,6 +54,5 @@ __all__ = [
     "simulate_many",
     "simulate_point",
     "summarize_run",
-    "summarize_simulation",
     "validate_record",
 ]

@@ -219,7 +219,7 @@ class WorkloadSpec:
 
         ``temporal`` and ``trace`` are emitted only when set: specs that
         predate them serialise exactly as before, so their cache/store
-        keys (and the store's v2-compat probes) stay byte-identical.
+        keys stay byte-identical.
         """
         data = {
             "model": self.model,
@@ -719,11 +719,6 @@ def summarize_run(result: RunResult) -> dict:
     return record
 
 
-def summarize_simulation(result: RunResult) -> dict:
-    """Deprecated alias of :func:`summarize_run` (pre-v3 name)."""
-    return summarize_run(result)
-
-
 def model_for(point: SweepPoint) -> AcceleratorModel:
     """Construct the accelerator model that executes one sweep point.
 
@@ -738,31 +733,11 @@ def model_for(point: SweepPoint) -> AcceleratorModel:
 
 
 def _model_record(point: SweepPoint) -> dict:
+    """Record of one baseline-accelerator point."""
     # _resolve_workload honours a PAFT spec for every accelerator (it
     # needs point.phi for the alignment calibration); a plain spec
     # resolves to the base workload.
-    workload = _resolve_workload(point)
-    model = model_for(point)
-    if isinstance(model, PhiSimulator):
-        # For a plain spec this matches the simulator's per-layer
-        # self-calibration exactly while letting every point on the same
-        # workload share one calibration.  For a PAFT spec the paper
-        # fine-tunes, then re-calibrates on the tuned network: the
-        # calibration is computed on the *aligned* workload (keyed by the
-        # full spec), which is layer-for-layer identical to letting the
-        # simulator self-calibrate — but shareable.
-        calibration = _stored_calibration(point.workload, point.phi, workload)
-        decompositions = None
-        if _current_store() is not None:
-            decompositions = _stored_decompositions(
-                point.workload, point.phi, workload, calibration
-            )
-        result = model.simulate(
-            workload, calibration=calibration, decompositions=decompositions
-        )
-    else:
-        result = model.simulate(workload)
-    return summarize_run(result)
+    return summarize_run(model_for(point).simulate(_resolve_workload(point)))
 
 
 def _decomposition_record(point: SweepPoint) -> dict:
@@ -793,16 +768,16 @@ def simulate_point(point: SweepPoint) -> dict:
     """Execute one sweep point from scratch and return its record.
 
     This is the unit of work the engine dispatches to workers (and the
-    seam tests monkeypatch to observe or stub simulator invocations).
+    seam tests monkeypatch to observe or stub simulator invocations).  A
+    Phi point runs as a batch of one through :func:`_simulate_phi_batch`.
     """
+    if point.accelerator == "phi":
+        return _simulate_phi_batch([point])[0]
     if point.accelerator == DECOMPOSITION:
         record = _decomposition_record(point)
     else:
         record = _model_record(point)
-    record["accelerator"] = point.accelerator
-    record["model"] = point.workload.model
-    record["dataset"] = point.workload.dataset
-    return record
+    return _finalize_record(point, record)
 
 
 #: The unpatched :func:`simulate_point`, for detecting a stubbed seam.
@@ -824,8 +799,14 @@ def _simulate_phi_batch(points: Sequence[SweepPoint]) -> list[dict]:
     once and shared across the unit's points, so e.g. a buffer-scaling
     sweep rebuilds it once instead of once per point), then hands the
     whole batch to :func:`repro.hw.simulator.simulate_phi_many`, which
-    packs every layer of every point in one lockstep pass.  Records are
-    bit-identical to per-point :func:`simulate_point` calls.
+    packs every layer of every point in one lockstep pass.  A point's
+    record does not depend on the batch it runs in.
+
+    For a plain spec the stored calibration matches the simulator's
+    per-layer self-calibration exactly while letting every point on the
+    same workload share one calibration.  For a PAFT spec the paper
+    fine-tunes, then re-calibrates on the tuned network: the calibration
+    is computed on the *aligned* workload (keyed by the full spec).
     """
     from ..hw.simulator import simulate_phi_many
 
@@ -867,10 +848,10 @@ def simulate_many(points: Sequence[SweepPoint]) -> list[dict]:
     all of them (across every unit in the call) run through one
     :func:`repro.hw.simulator.simulate_phi_many` invocation whose
     lockstep packing spans points, layers and tiles, with records sliced
-    back out in input order, bit-identical to the per-point path.  When
-    the :func:`simulate_point` seam has been replaced (tests stub it to
-    observe or fake invocations), every point routes through the stub
-    instead — batching is an optimisation of the real path only.
+    back out in input order.  When the :func:`simulate_point` seam has
+    been replaced (tests stub it to observe or fake invocations), every
+    point routes through the stub instead — batching is an optimisation
+    of the real path only.
 
     Parameters
     ----------

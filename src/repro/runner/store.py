@@ -59,11 +59,6 @@ from .cache import cache_key
 #: v3: imported-trace artifacts (``KIND_TRACE``) joined the store.
 STORE_SCHEMA_VERSION = 3
 
-#: Older schema versions whose artifacts are still readable: the v2
-#: container layout and codecs are unchanged in v3, so ``lookup`` probes
-#: these keys on a miss and migrates hits forward under the current key.
-COMPAT_STORE_SCHEMA_VERSIONS = (2,)
-
 #: Artifact kinds the store recognises (part of every key payload).
 KIND_WORKLOAD = "workload"
 KIND_CALIBRATION = "calibration"
@@ -449,17 +444,13 @@ class ArtifactStore:
             return self._memo.get(key)
 
     # ------------------------------------------------------------------ #
-    def key(
-        self, kind: str, payload: Mapping[str, Any], *, schema: int | None = None
-    ) -> str:
+    def key(self, kind: str, payload: Mapping[str, Any]) -> str:
         """Content hash for an artifact of ``kind`` derived from ``payload``.
 
         The payload must contain every input the artifact's computation
         depends on (the engine passes the workload-spec and Phi-config
         dicts); kind, store schema version and package version are mixed
-        in here.  ``schema`` overrides the store schema version hashed
-        into the key — used by :meth:`lookup` to probe the keys older
-        releases would have written.
+        in here.
 
         Trace artifacts are *imported* data, not a derived computation,
         so their keys deliberately omit the package version: a recorded
@@ -472,7 +463,7 @@ class ArtifactStore:
         return cache_key(
             {
                 "kind": kind,
-                "store_schema": STORE_SCHEMA_VERSION if schema is None else schema,
+                "store_schema": STORE_SCHEMA_VERSION,
                 "code_version": None if kind == KIND_TRACE else __version__,
                 "payload": dict(payload),
             }
@@ -483,31 +474,12 @@ class ArtifactStore:
         return self.key(KIND_TRACE, {"trace": str(name)})
 
     def lookup(self, kind: str, payload: Mapping[str, Any]) -> tuple[str, Any | None]:
-        """Current key plus the stored artifact, probing compat schemas.
+        """Key of the ``kind`` artifact for ``payload``, plus the artifact.
 
-        Returns ``(key, artifact)`` where ``key`` is always the
-        *current*-schema key.  On a primary miss the keys of every
-        schema version in :data:`COMPAT_STORE_SCHEMA_VERSIONS` are
-        probed (the container layout is unchanged since v2); a compat
-        hit is re-persisted under the current key so the migration
-        happens once.  Trace artifacts skip the probe — the kind did
-        not exist before v3.
+        The artifact is ``None`` on a miss.
         """
-        current = self.key(kind, payload)
-        artifact = self.get(kind, current)
-        if artifact is not None or kind == KIND_TRACE:
-            return current, artifact
-        for schema in COMPAT_STORE_SCHEMA_VERSIONS:
-            compat = self.key(kind, payload, schema=schema)
-            # ``contains`` first: a cold probe should not inflate the
-            # miss counter once per legacy schema version.
-            if not self.contains(compat):
-                continue
-            artifact = self.get(kind, compat)
-            if artifact is not None:
-                self.put(kind, current, artifact)
-                return current, artifact
-        return current, None
+        key = self.key(kind, payload)
+        return key, self.get(kind, key)
 
     def path_for(self, key: str) -> pathlib.Path:
         """File that stores (or would store) the artifact for ``key``."""

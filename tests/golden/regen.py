@@ -29,7 +29,8 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
 
 from repro.core.config import PhiConfig
 from repro.hw.config import ArchConfig
-from repro.hw.simulator import PhiSimulator, SimulationResult
+from repro.hw.pipeline import RunResult
+from repro.hw.simulator import PhiSimulator
 from repro.workloads.generator import generate_workload
 
 #: Fixed-seed workloads: (model, dataset, batch_size, num_steps, seed).
@@ -94,8 +95,8 @@ def build_simulator(config_name: str) -> PhiSimulator:
     return PhiSimulator(ArchConfig(**spec["arch"]), PhiConfig(**spec["phi"]))
 
 
-def summarize(result: SimulationResult) -> dict:
-    """Flatten a :class:`SimulationResult` into JSON-friendly exact values."""
+def summarize(result: RunResult) -> dict:
+    """Flatten a Phi :class:`RunResult` into JSON-friendly exact values."""
     ops = result.aggregate_operations()
     breakdown = result.aggregate_breakdown()
     return {
@@ -151,7 +152,7 @@ def run_case(workload_spec: tuple[str, str, int, int, int], config_name: str) ->
     workload = generate_workload(
         model, dataset, batch_size=batch_size, num_steps=num_steps, seed=seed
     )
-    result = build_simulator(config_name).run(workload)
+    result = build_simulator(config_name).simulate(workload)
     return summarize(result)
 
 

@@ -106,7 +106,7 @@ class TestTraffic:
             ArchConfig(),
             PhiConfig(partition_size=16, num_patterns=32, calibration_samples=2000),
         )
-        return simulator.run(vgg_workload)
+        return simulator.simulate(vgg_workload)
 
     def test_activation_traffic(self, simulation):
         traffic = activation_traffic(simulation)

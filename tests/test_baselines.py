@@ -1,4 +1,4 @@
-"""Tests for the baseline accelerator models and the Phi adapter."""
+"""Tests for the baseline accelerator models and the accelerator registry."""
 
 import numpy as np
 import pytest
@@ -6,25 +6,26 @@ import pytest
 from repro.baselines import (
     PTB,
     SATO,
-    AcceleratorReport,
-    PhiAccelerator,
     SpikingEyeriss,
     SpinalFlow,
     Stellar,
     available_baselines,
+    get_accelerator,
     get_baseline,
     load_imbalance_cycles,
     paper_operations,
 )
 from repro.core import PhiConfig
+from repro.hw import RunResult
 from repro.workloads import generate_random_workload
 
 
 @pytest.fixture(scope="module")
 def reports(vgg_workload):
     reports = {name: get_baseline(name).simulate(vgg_workload) for name in available_baselines()}
-    phi = PhiAccelerator(
-        phi_config=PhiConfig(partition_size=16, num_patterns=32, calibration_samples=2000)
+    phi = get_accelerator(
+        "phi",
+        phi_config=PhiConfig(partition_size=16, num_patterns=32, calibration_samples=2000),
     )
     reports["phi"] = phi.simulate(vgg_workload)
     return reports
@@ -65,7 +66,7 @@ class TestHelpers:
 class TestReports:
     def test_all_reports_consistent(self, reports, vgg_workload):
         for name, report in reports.items():
-            assert isinstance(report, AcceleratorReport)
+            assert isinstance(report, RunResult)
             assert report.total_cycles > 0, name
             assert report.total_operations > 0, name
             assert report.energy_joules > 0, name

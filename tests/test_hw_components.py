@@ -388,14 +388,3 @@ class TestCountsFastPath:
         from_counts = processor.process_pack_counts(counts, output_width=32)
         assert from_counts == from_packs
 
-    def test_process_tile_counts_matches_process_tile(self, arch, small_patterns):
-        rng = np.random.default_rng(5)
-        tile = (rng.random((64, 8)) < 0.4).astype(np.uint8)
-        preprocessor = Preprocessor(arch)
-        full = preprocessor.process_tile(tile, small_patterns, needs_psum=True)
-        counts = preprocessor.process_tile_counts(tile, small_patterns, needs_psum=True)
-        assert counts.cycles == full.cycles
-        assert counts.comparisons == full.matcher.comparisons
-        assert counts.total_nonzeros == full.compressor.total_nonzeros
-        assert counts.packs.num_packs == len(full.packer.packs)
-        assert counts.packs.cycles == full.packer.cycles

@@ -17,7 +17,7 @@ def simulator():
 
 @pytest.fixture(scope="module")
 def vgg_simulation(simulator, vgg_workload):
-    return simulator.run(vgg_workload)
+    return simulator.simulate(vgg_workload)
 
 
 class TestLayerSimulation:
@@ -73,7 +73,7 @@ class TestSimulationResult:
 
 class TestSimulatorBehaviour:
     def test_phi_faster_than_bit_sparse_execution(self, simulator, vgg_workload):
-        result = simulator.run(vgg_workload)
+        result = simulator.simulate(vgg_workload)
         totals = result.aggregate_operations()
         assert totals.speedup_over_bit > 1.0
         assert totals.speedup_over_dense > 3.0
@@ -84,21 +84,45 @@ class TestSimulatorBehaviour:
         calibration = PhiCalibrator(phi_config).calibrate_model(
             vgg_workload.activation_matrices()
         )
-        result = simulator.run(vgg_workload, calibration=calibration)
+        result = simulator.simulate(vgg_workload, calibration=calibration)
         assert len(result.layers) == len(vgg_workload)
 
     def test_partition_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PhiSimulator(ArchConfig(tile_k=16), PhiConfig(partition_size=8))
 
+    def test_calibration_width_mismatch_rejected(self, simulator):
+        workload = generate_random_workload(density=0.2, m=32, k=32, n=8, seed=0)
+        narrow = generate_random_workload(density=0.2, m=32, k=16, n=8, seed=0)
+        calibration = PhiCalibrator(simulator.phi_config).calibrate_model(
+            narrow.activation_matrices()
+        )
+        with pytest.raises(ValueError, match="calibration width 16"):
+            simulator.simulate(workload, calibration=calibration)
+
+    def test_decomposition_shape_mismatch_rejected(self, simulator):
+        workload = generate_random_workload(density=0.2, m=32, k=32, n=8, seed=0)
+        short = generate_random_workload(density=0.2, m=16, k=32, n=8, seed=0)
+        calibration = PhiCalibrator(simulator.phi_config).calibrate_model(
+            workload.activation_matrices()
+        )
+        name = workload[0].name
+        decomposition = calibration[name].decompose(short[0].activations)
+        with pytest.raises(ValueError, match=r"decomposition shape \(16, 32\)"):
+            simulator.simulate(
+                workload,
+                calibration=calibration,
+                decompositions={name: decomposition},
+            )
+
     def test_more_patterns_reduce_compute(self):
         workload = generate_random_workload(density=0.15, m=512, k=64, n=32, seed=5)
         few = PhiSimulator(
             ArchConfig(), PhiConfig(partition_size=16, num_patterns=4, calibration_samples=2000)
-        ).run(workload)
+        ).simulate(workload)
         many = PhiSimulator(
             ArchConfig(), PhiConfig(partition_size=16, num_patterns=64, calibration_samples=2000)
-        ).run(workload)
+        ).simulate(workload)
         assert (
             many.aggregate_operations().phi_ops <= few.aggregate_operations().phi_ops
         )
@@ -110,10 +134,10 @@ class TestSimulatorBehaviour:
             ArchConfig(), PhiConfig(partition_size=16, num_patterns=16, calibration_samples=2000)
         )
         assert (
-            simulator.run(sparse).total_cycles < simulator.run(dense).total_cycles
+            simulator.simulate(sparse).total_cycles < simulator.simulate(dense).total_cycles
         )
 
     def test_transformer_workload_runs(self, simulator, spikformer_workload):
-        result = simulator.run(spikformer_workload)
+        result = simulator.simulate(spikformer_workload)
         assert result.total_cycles > 0
         assert result.total_operations > 0

@@ -8,7 +8,7 @@ losslessness -> simulate the accelerator -> compare against a baseline.
 import numpy as np
 import pytest
 
-from repro.baselines import PhiAccelerator, get_baseline
+from repro.baselines import get_accelerator, get_baseline
 from repro.core import ActivationAligner, PhiCalibrator, PhiConfig
 from repro.datasets import make_dataset
 from repro.hw import ArchConfig, PhiSimulator
@@ -36,12 +36,12 @@ class TestEndToEndPipeline:
 
         # Accelerator simulation with the same calibration.
         simulator = PhiSimulator(ArchConfig(), phi_config)
-        result = simulator.run(vgg_workload, calibration=calibration)
+        result = simulator.simulate(vgg_workload, calibration=calibration)
         assert result.total_cycles > 0
 
         # Phi outperforms the dense baseline on the same workload.
         eyeriss = get_baseline("eyeriss").simulate(vgg_workload)
-        phi = PhiAccelerator(phi_config=phi_config).simulate(
+        phi = get_accelerator("phi", phi_config=phi_config).simulate(
             vgg_workload, calibration=calibration
         )
         assert phi.throughput_gops > eyeriss.throughput_gops
@@ -79,7 +79,7 @@ class TestEndToEndPipeline:
         aligner = ActivationAligner(alignment_strength=0.8, seed=0)
 
         simulator = PhiSimulator(ArchConfig(), phi_config)
-        before = simulator.run(vgg_workload, calibration=calibration)
+        before = simulator.simulate(vgg_workload, calibration=calibration)
 
         from repro.workloads import LayerWorkload, ModelWorkload
 
@@ -94,7 +94,7 @@ class TestEndToEndPipeline:
                     weights=layer.weights,
                 )
             )
-        after = simulator.run(aligned, calibration=calibration)
+        after = simulator.simulate(aligned, calibration=calibration)
         assert after.total_cycles <= before.total_cycles * 1.02
 
     def test_text_model_end_to_end(self, phi_config):
@@ -107,5 +107,5 @@ class TestEndToEndPipeline:
             workload_model, dataset.test_data[:4], dataset_name="sst2"
         )
         assert len(workload) > 0
-        result = PhiSimulator(ArchConfig(), phi_config).run(workload)
+        result = PhiSimulator(ArchConfig(), phi_config).simulate(workload)
         assert result.total_operations > 0

@@ -1,7 +1,7 @@
 """Tests for the unified accelerator-model pipeline (`repro.hw.pipeline`).
 
 Covers the stage/pipeline composition machinery, the canonical
-result-schema math, the batched ``simulate_many`` paths, and — the
+result-schema math, the engine's batched ``simulate_many`` path, and — the
 structural acceptance criterion — that every accelerator implements the
 :class:`~repro.hw.pipeline.AcceleratorModel` interface and that no
 experiment harness or report module bypasses it.
@@ -192,18 +192,6 @@ class TestPhiStageGraph:
 # Batched simulation
 # --------------------------------------------------------------------- #
 class TestSimulateMany:
-    def test_model_level_batch_matches_per_workload_calls(self):
-        workloads = [
-            generate_random_workload(density=0.1, m=64, k=32, n=16, seed=s)
-            for s in (0, 1)
-        ]
-        model = get_baseline("eyeriss")
-        batched = model.simulate_many(workloads)
-        single = [model.simulate(w) for w in workloads]
-        for a, b in zip(batched, single):
-            assert a.total_cycles == b.total_cycles
-            assert a.energy_joules == b.energy_joules
-
     def test_engine_batch_matches_per_point_execution(self, tiny_points):
         batched = SweepEngine(jobs=1).run(tiny_points)
         per_point = [simulate_point(point) for point in tiny_points]
@@ -289,7 +277,6 @@ class TestAcceleratorModelInterface:
     #: engine's records.
     FORBIDDEN = (
         "PhiSimulator",
-        "PhiAccelerator",
         "get_baseline",
         "get_accelerator",
         "BaselineAccelerator",

@@ -98,7 +98,7 @@ class TestRegistryLookup:
 class TestNoSimulatorOutsideEngine:
     """Acceptance criterion: no harness builds simulator sweeps itself."""
 
-    FORBIDDEN = ("PhiSimulator", "get_baseline", "PhiAccelerator", ".simulate(")
+    FORBIDDEN = ("PhiSimulator", "get_baseline", ".simulate(")
 
     def test_harness_modules_do_not_construct_simulators(self):
         offenders = []

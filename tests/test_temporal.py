@@ -232,24 +232,9 @@ class TestTraceIngest:
 
 
 class TestStoreCompatLookup:
-    def test_v2_artifact_migrates_forward(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        workload = generate_random_workload(density=0.3, m=32, k=16, n=8, seed=3)
-        payload = {"which": "compat-probe"}
-        old_key = store.key(KIND_WORKLOAD, payload, schema=2)
-        store.put(KIND_WORKLOAD, old_key, workload)
-
-        fresh = ArtifactStore(tmp_path)
-        current_key, found = fresh.lookup(KIND_WORKLOAD, payload)
-        assert current_key == fresh.key(KIND_WORKLOAD, payload)
-        assert current_key != old_key
-        assert found is not None and found.layer_names() == workload.layer_names()
-        # The hit was migrated forward under the current-schema key.
-        assert fresh.contains(current_key)
-
     def test_legacy_spec_payload_is_unchanged(self):
-        # Pre-temporal specs must serialise exactly as before the schema
-        # bump, or the v2-compat store probe could never reproduce old keys.
+        # Pre-temporal specs must serialise exactly as before, or every
+        # cache and store key of an existing spec would change.
         data = WorkloadSpec(model="vgg16", dataset="cifar10").to_dict()
         assert "temporal" not in data and "trace" not in data
         temporal = WorkloadSpec(model="m", dataset="cifar10", temporal=True).to_dict()
