@@ -98,10 +98,11 @@ _STATS_RE = re.compile(
 class BenchResult:
     """One timed scenario, as appended to ``BENCH_sweep.json``.
 
-    ``store_hits`` / ``store_misses`` are the parent engine's artifact
-    store counters (``None`` for runs without a store or from versions
-    that predate the counters) — they distinguish warm-store scenarios
-    (all hits) from cold ones (all misses) in the trajectory.
+    ``store_hits`` / ``store_misses`` are the engine's artifact store
+    counters, pool workers' included (``None`` for runs without a store
+    or from versions that predate the counters) — they distinguish
+    warm-store scenarios (all hits) from cold ones (all misses) in the
+    trajectory.
     """
 
     schema: int

@@ -109,8 +109,6 @@ def _report(engine: SweepEngine, elapsed: float) -> None:
     stats = engine.stats
     store_line = ""
     if engine.store is not None:
-        # Parent-process counts only: parallel workers keep their own
-        # store instances, so this understates hits under --jobs > 1.
         store_line = (
             f", {engine.store.hits} store hits, {engine.store.misses} store misses"
         )

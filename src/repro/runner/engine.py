@@ -11,26 +11,28 @@ configuration exactly once — across processes, runs and experiments.
 
 Workloads, calibrations and activation decompositions are deterministic
 functions of ``(workload spec, PhiConfig)``, so a record computed
-anywhere is valid everywhere.  When the engine carries an
-:class:`~repro.runner.store.ArtifactStore`, those shared artifacts are
-additionally persisted on disk and each is computed once per
-configuration ever: the engine's dispatch granularity is one batch per
-``(workload spec, PhiConfig)`` *unit* (see :meth:`SweepEngine.run`), a
-unit's first point materialises its artifacts into the store, and the
-unit's remaining points — plus every later run — load them instead of
-re-running workload generation, k-means or pattern matching.  Without a
-store, per-process memos (``cached_workload`` / :func:`calibration_for`)
-still share the state within each process.
+anywhere is valid everywhere.  The engine's parallel dispatch grain is
+one pool task per ``(workload spec, PhiConfig)`` *unit* (see
+:meth:`SweepEngine.run`): a unit's points resolve its calibration and
+decomposition once and run through one :func:`simulate_many` call.
+When the engine carries an :class:`~repro.runner.store.ArtifactStore`,
+those shared artifacts are additionally persisted on disk and each is
+computed once per configuration ever — later units, workers and runs
+load them instead of re-running workload generation, k-means or pattern
+matching.  Without a store, per-process memos (``cached_workload`` /
+:func:`calibration_for`) still share the state within each process.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import os
 import sys
 import threading
 import warnings
 import weakref
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -61,7 +63,6 @@ from .store import (
     ArtifactStore,
     DecompositionArtifact,
 )
-from .shm import SharedArtifacts, attach_and_prime
 
 #: Bump on ANY change that affects cached records — the record layout OR
 #: result-affecting simulator/calibration behaviour.  The package version
@@ -410,9 +411,27 @@ def _active_store(store: ArtifactStore | None):
         _ACTIVE.store = previous
 
 
-def _pool_initializer(store_root: str | None) -> None:
-    """Worker start-up: install the on-disk artifact store, if any."""
+def _pool_initializer(store_root: str | None, blas_threads: int) -> None:
+    """Worker start-up: install the artifact store, if any; cap BLAS threads.
+
+    Each worker's OpenBLAS would otherwise start a thread per core, so
+    ``jobs`` workers would oversubscribe the machine ``jobs``-fold and
+    parallel sweeps would run slower and far less steadily.  Workers fork
+    after NumPy loaded OpenBLAS, too late for ``OPENBLAS_NUM_THREADS``, so
+    the loaded library's own setter is called (Linux only).  Records do
+    not depend on the thread count.
+    """
     _ACTIVE.store = ArtifactStore(store_root) if store_root is not None else None
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+        libraries = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return
+    for library in libraries:
+        for name in ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_"):
+            if hasattr(library, name):
+                getattr(library, name)(blas_threads)
 
 
 #: Per-thread progress hook installed by :func:`progress_scope`.  The
@@ -546,9 +565,26 @@ def _stored_decompositions(
     return found
 
 
-def _seed_workload(spec: WorkloadSpec) -> None:
-    """Pool task: materialise one base workload into the worker's store."""
-    _stored_base_workload(spec)
+def _with_store_delta(task: Callable, *args):
+    """``task(*args)`` plus the calling thread's store ``(hits, misses)`` delta.
+
+    Pool workers keep their own store instances; their tasks return this
+    delta so the parent can add it to its store's counters.
+    """
+    store = _current_store()
+    if store is None:
+        return task(*args), (0, 0)
+    hits, misses = store.hits, store.misses
+    result = task(*args)
+    return result, (store.hits - hits, store.misses - misses)
+
+
+def _seed_workload(spec: WorkloadSpec) -> tuple[int, int]:
+    """Pool task: materialise one base workload into the worker's store.
+
+    Returns the worker store's ``(hits, misses)`` delta.
+    """
+    return _with_store_delta(_stored_base_workload, spec)[1]
 
 
 def _base_workload(spec: WorkloadSpec) -> ModelWorkload:
@@ -878,18 +914,16 @@ def simulate_many(points: Sequence[SweepPoint]) -> list[dict]:
 
 
 def _simulate_with_shared(
-    points: Sequence[SweepPoint], manifest: list
-) -> list[dict]:
-    """Pool task: prime shared-memory artifacts, then run the batch.
+    points: Sequence[SweepPoint],
+) -> tuple[list[dict], tuple[int, int]]:
+    """Pool task: run one unit's points against the worker's shared store.
 
-    ``manifest`` names segments the parent exported after the unit's
-    representative stored its calibration/decomposition; attaching maps
-    the arrays zero-copy into this worker, so :func:`simulate_many`
-    serves them from the store memo without a disk read.  Attach
-    failures degrade to the plain disk path.
+    The points share a ``(workload spec, PhiConfig)`` unit, so the one
+    :func:`simulate_many` call resolves the unit's calibration and
+    decomposition once.  Returns the records in input order and the
+    worker store's ``(hits, misses)`` delta.
     """
-    attach_and_prime(_current_store(), manifest)
-    return simulate_many(points)
+    return _with_store_delta(simulate_many, points)
 
 
 # --------------------------------------------------------------------- #
@@ -982,9 +1016,9 @@ def _unit_key(point: SweepPoint) -> tuple:
 
     A *unit* is one ``(workload spec, PhiConfig)`` pair — its points
     share the resolved workload, the calibration and the decomposition.
-    The engine dispatches one representative point per unit first, so a
-    unit's shared artifacts are materialised exactly once; the remaining
-    points then run in parallel, loading instead of recomputing.
+    The parallel engine submits one pool task per unit and the fleet
+    leases one unit at a time, so a unit's shared artifacts are resolved
+    once, in one process.
     """
     return (point.workload, point.phi)
 
@@ -1107,9 +1141,6 @@ class SweepEngine:
         self.stats = SweepStats()
         self._warned_cache_unwritable = False
         self._pool: ProcessPoolExecutor | None = None
-        # Parent-side shared-memory segments for follower dispatch; all
-        # unlinked in close().
-        self._shared = SharedArtifacts()
         # run() is re-entrant across threads (the job service dispatches
         # concurrent jobs onto one engine): the lock guards stats, pool
         # lifecycle and the in-flight table; the table guarantees a point
@@ -1125,10 +1156,11 @@ class SweepEngine:
         with self._lock:
             if self._pool is None:
                 store_root = str(self.store.root) if self.store is not None else None
+                blas_threads = max(1, (os.cpu_count() or 1) // self.jobs)
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.jobs,
                     initializer=_pool_initializer,
-                    initargs=(store_root,),
+                    initargs=(store_root, blas_threads),
                 )
             return self._pool
 
@@ -1146,12 +1178,11 @@ class SweepEngine:
             self._ensure_pool()
 
     def close(self) -> None:
-        """Shut down the warm worker pool and shared memory (idempotent)."""
+        """Shut down the warm worker pool (idempotent)."""
         with self._lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-        self._shared.close()
 
     def __enter__(self) -> "SweepEngine":
         return self
@@ -1207,14 +1238,13 @@ class SweepEngine:
         """Execute every point (cache first), preserving input order.
 
         Points with identical cache keys within one batch are executed
-        once and the record is shared across their result slots.  Pending
-        points are grouped into ``(workload spec, PhiConfig)`` units; in
-        parallel mode each unit's representative point runs first (it
-        materialises the unit's workload / calibration / decomposition
-        into the artifact store), then the unit's remaining points fan
-        out point-per-task — so no split ever recomputes a calibration.
-        Records stream back as futures complete and are written to the
-        result cache incrementally.
+        once and the record is shared across their result slots.  The
+        serial path runs the pending points in one :func:`simulate_many`
+        call per workload spec.  The parallel path groups them into
+        ``(workload spec, PhiConfig)`` units and submits one pool task
+        per unit, so a unit's calibration and decomposition are resolved
+        once, by one worker.  Records stream back as tasks complete and
+        are written to the result cache incrementally.
 
         ``run`` is re-entrant: concurrent calls from multiple threads
         (the job service's dispatchers) share one engine safely, and a
@@ -1319,8 +1349,7 @@ class SweepEngine:
                             for key, record in zip(keys, results):
                                 settle(key, record)
                 else:
-                    units = _pending_units(points, pending)
-                    self._run_parallel(points, pending, units, settle)
+                    self._run_parallel(points, pending, settle)
         except BaseException:
             # Owned keys that never settled must not strand waiters in
             # other threads: publish the failure so they recompute.
@@ -1358,84 +1387,35 @@ class SweepEngine:
         self,
         points: list[SweepPoint],
         pending: dict[str, list[int]],
-        units: list[list[str]],
         settle,
     ) -> None:
-        """Wave-dispatch pending units over the warm worker pool."""
+        """Run each pending unit as one task on the warm worker pool."""
         if self.store is not None:
             self._seed_workloads(points, pending)
         pool = self._ensure_pool()
-
-        def submit(key: str, manifest: list | None = None):
-            batch = [points[pending[key][0]]]
-            if manifest:
-                return pool.submit(_simulate_with_shared, batch, manifest)
-            return pool.submit(simulate_many, batch)
-
-        # Wave 1: one representative per unit.  Followers are held back
-        # until the representative has stored the unit's artifacts.
-        # Without a store there is nothing for followers to load, so the
-        # barrier would only serialize work — submit everything at once.
-        # With a store, a unit whose representative has no PhiConfig has
-        # no calibration/decomposition to materialise either (its only
-        # shared artifact, the base workload, was just seeded), so its
-        # points skip the barrier too.
-        if self.store is None:
-            futures = {
-                submit(key): (key, []) for keys in units for key in keys
-            }
-        else:
-            futures = {}
-            for keys in units:
-                if points[pending[keys[0]][0]].phi is None:
-                    for key in keys:
-                        futures[submit(key)] = (key, [])
-                else:
-                    futures[submit(keys[0])] = (keys[0], keys[1:])
-        remaining = set(futures)
+        futures = {}
+        for keys in _pending_units(points, pending):
+            batch = [points[pending[key][0]] for key in keys]
+            futures[pool.submit(_simulate_with_shared, batch)] = keys
         try:
-            while remaining:
-                finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    key, followers = futures.pop(future)
-                    settle(key, future.result()[0])
-                    if followers:
-                        # The representative has stored the unit's
-                        # calibration/decomposition; hand them to the
-                        # followers over shared memory (zero-copy, no
-                        # re-pickling) when possible.
-                        manifest = self._export_unit(points[pending[key][0]])
-                        for follower in followers:
-                            follow_up = submit(follower, manifest)
-                            futures[follow_up] = (follower, [])
-                            remaining.add(follow_up)
+            for future in as_completed(futures):
+                records, counts = future.result()
+                self._add_store_counts(counts)
+                for key, record in zip(futures[future], records):
+                    settle(key, record)
         except BaseException:
             # A failed or interrupted run must not leave its own queued
             # tasks running — but the pool is shared with concurrent
             # runs (the service's dispatcher threads), so cancel only
             # this run's futures, never the whole pool.
-            for future in remaining:
+            for future in futures:
                 future.cancel()
             raise
 
-    def _export_unit(self, point: SweepPoint) -> list:
-        """Shared-memory manifest for ``point``'s unit artifacts.
-
-        Exports the unit's calibration and decomposition payloads (one
-        segment each, deduplicated across waves by store key) straight
-        from their on-disk container bytes.  Artifacts that never hit
-        the disk — unwritable store, representative failure — are simply
-        absent from the manifest and followers fall back to recompute.
-        """
-        if self.store is None or point.phi is None:
-            return []
-        payload = _artifact_payload(point.workload, point.phi)
-        manifest = []
-        for kind in (KIND_CALIBRATION, KIND_DECOMPOSITION):
-            entry = self._shared.export(self.store, kind, self.store.key(kind, payload))
-            if entry is not None:
-                manifest.append(entry)
-        return manifest
+    def _add_store_counts(self, counts: tuple[int, int]) -> None:
+        """Add a pool task's store ``(hits, misses)`` to this engine's store."""
+        if self.store is not None:
+            self.store.add_counts(*counts)
 
     def _seed_workloads(
         self, points: list[SweepPoint], pending: dict[str, list[int]]
@@ -1444,7 +1424,7 @@ class SweepEngine:
 
         Workload generation (an SNN forward pass) is common to every unit
         of the same spec; seeding every missing spec before dispatch
-        means no two dispatch waves ever race to regenerate one.  The
+        means no two unit tasks ever race to regenerate one.  The
         generation itself runs as pool tasks, so distinct workloads
         materialise concurrently instead of serially on this thread.
         """
@@ -1464,7 +1444,7 @@ class SweepEngine:
             return
         pool = self._ensure_pool()
         for future in [pool.submit(_seed_workload, spec) for spec in missing]:
-            future.result()
+            self._add_store_counts(future.result())
 
     def _finish(self, point: SweepPoint, record: dict) -> None:
         self._count("executed")

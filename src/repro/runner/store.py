@@ -22,9 +22,9 @@ small JSON directory followed by each payload array's raw bytes at
 64-byte-aligned offsets (see :func:`pack_arrays`).  Reads go through
 ``np.load(path, mmap_mode="r")``, so loading an artifact maps the file
 once and slices every array out as a *read-only, zero-copy view* — no
-decompression, no per-array header parsing, no heap copies.  The same
-container doubles as the wire format for the engine's shared-memory
-worker handoff (see :mod:`repro.runner.shm`).
+decompression, no per-array header parsing, no heap copies.  Pool
+workers map the same files, so the page cache shares one copy of each
+artifact between them.
 
 Array payloads round-trip bit-exactly through the container, so a loaded
 artifact is indistinguishable from a freshly computed one; the golden
@@ -85,13 +85,12 @@ def default_store_dir() -> pathlib.Path:
 # The zero-copy array container
 # --------------------------------------------------------------------- #
 #: Leading bytes of every container payload; a mismatch means the file
-#: (or shared-memory segment) does not hold a v2 artifact.
+#: does not hold a v2 artifact.
 CONTAINER_MAGIC = b"PHIART02"
 
 #: Alignment of every array block inside the container.  The ``.npy``
-#: format itself aligns its data section to 64 bytes and shared-memory
-#: segments are page-aligned, so block offsets that are multiples of 64
-#: guarantee naturally aligned typed views.
+#: format itself aligns its data section to 64 bytes, so block offsets
+#: that are multiples of 64 guarantee naturally aligned typed views.
 _ALIGN = 64
 
 
@@ -171,10 +170,9 @@ def unpack_arrays(payload: np.ndarray) -> dict[str, np.ndarray]:
     """Zero-copy views of every array in a container ``payload``.
 
     ``payload`` is the container as a 1-D ``uint8`` array — typically a
-    read-only memmap from ``np.load(..., mmap_mode="r")`` or a view of a
-    shared-memory buffer.  The returned arrays alias the payload's
-    storage (no copies); they inherit its writability, so memmap-backed
-    artifacts are naturally read-only.
+    read-only memmap from ``np.load(..., mmap_mode="r")``.  The returned
+    arrays alias the payload's storage (no copies); they inherit its
+    writability, so memmap-backed artifacts are naturally read-only.
 
     Raises ``ValueError`` on any malformed container.
     """
@@ -344,15 +342,6 @@ _CODECS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-def decode_artifact(kind: str, arrays: Mapping[str, np.ndarray]) -> Any:
-    """Decode a container's arrays into an artifact of ``kind``.
-
-    Shared with :mod:`repro.runner.shm`, whose segments carry the same
-    container payload as the on-disk files.
-    """
-    return _CODECS[kind][1](arrays)
-
-
 def _artifact_nbytes(artifact: Any) -> int:
     """Estimated array payload of a memoised artifact, in bytes."""
     if isinstance(artifact, ModelWorkload):
@@ -493,9 +482,7 @@ class ArtifactStore:
     def load_payload(self, key: str) -> np.ndarray | None:
         """The raw container payload for ``key`` as a read-only memmap.
 
-        ``None`` on miss or corruption.  Used by the shared-memory
-        exporter, which copies the payload bytes into a segment without
-        ever decoding them.
+        ``None`` on miss or corruption.
         """
         try:
             payload = np.load(self.path_for(key), mmap_mode="r")
@@ -533,21 +520,16 @@ class ArtifactStore:
         self._count("misses")
         return None
 
-    def prime(self, key: str, artifact: Any) -> None:
-        """Install ``artifact`` in the in-process memo without touching disk.
+    def add_counts(self, hits: int, misses: int) -> None:
+        """Add ``get`` outcomes counted by another instance on this root.
 
-        Used by pool workers that received the artifact over shared
-        memory: later ``get`` calls for ``key`` hit the memo, so the
-        worker never re-reads or re-derives it.  Decomposition mappings
-        are primed in their slim assignment-only form, mirroring ``put``.
+        The parallel engine's pool workers each open their own store;
+        the engine adds every task's counts here, so ``hits`` and
+        ``misses`` cover the whole sweep.
         """
-        if key in self._memo:
-            return
-        if isinstance(artifact, Mapping) and artifact and not isinstance(
-            artifact, (ModelWorkload, ModelCalibration, DecompositionArtifact)
-        ):
-            artifact = _decode_decompositions(_encode_decompositions(artifact))
-        self._memoise(key, artifact)
+        with self._memo_lock:
+            self.hits += hits
+            self.misses += misses
 
     def put(self, kind: str, key: str, artifact: Any) -> None:
         """Atomically persist ``artifact`` under ``key`` (and memoise it).

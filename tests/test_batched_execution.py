@@ -1,21 +1,23 @@
-"""Batched cross-point execution and the shared-memory handoff path.
+"""Batched cross-point execution and the unit-grain parallel dispatch.
 
-Property tests pin the tentpole's bit-exactness contract: the stacked
-cross-point :func:`repro.runner.engine.simulate_many` path and the
-vectorized L2 pack accounting must be *byte-identical* to the
-per-point / per-tile reference paths they replace.  Functional tests
-exercise the ``--jobs 4`` shared-memory handoff end to end — records
-equal to a serial run, every segment unlinked at engine shutdown — and
-the graceful-degradation contracts of :mod:`repro.runner.shm`.
+Property tests pin the bit-exactness contract: the stacked cross-point
+:func:`repro.runner.engine.simulate_many` path and the vectorized L2
+pack accounting must be *byte-identical* to the per-point / per-tile
+reference paths.  Functional tests pin the parallel engine's dispatch
+grain — one pool task per ``(workload spec, PhiConfig)`` unit — and
+check that its records and artifact-store counters equal a serial
+run's.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
-import pathlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,8 +33,6 @@ from repro.runner import (
     WorkloadSpec,
 )
 from repro.runner import engine as engine_module
-from repro.runner.shm import SharedArtifacts, attach_and_prime, live_segments
-from repro.runner.store import KIND_CALIBRATION, KIND_DECOMPOSITION
 
 
 # --------------------------------------------------------------------- #
@@ -111,17 +111,18 @@ def test_stacked_simulate_many_is_byte_identical_to_per_point(grid):
 
 
 # --------------------------------------------------------------------- #
-# Shared-memory handoff (--jobs 4)
+# Unit-grain parallel dispatch
 # --------------------------------------------------------------------- #
+
+SPEC = WorkloadSpec.random(0.3, m=64, k=32, n=8)
 
 
 def shared_unit_points(num: int = 3) -> list[SweepPoint]:
     """Points of ONE (workload, PhiConfig) unit: same artifacts, varied arch."""
-    spec = WorkloadSpec.random(0.3, m=64, k=32, n=8)
     phi = TINY.phi_config()
     return [
         SweepPoint(
-            workload=spec,
+            workload=SPEC,
             arch=TINY.arch_config(frequency_mhz=500.0 + 100.0 * i),
             phi=phi,
         )
@@ -129,93 +130,111 @@ def shared_unit_points(num: int = 3) -> list[SweepPoint]:
     ]
 
 
-def _own_dev_shm_segments() -> list[str]:
-    """Names of /dev/shm segments exported by THIS process's engines."""
-    root = pathlib.Path("/dev/shm")
-    if not root.exists():  # pragma: no cover - non-Linux fallback
-        return []
-    return sorted(p.name for p in root.glob(f"*phiart-{os.getpid()}-*"))
+def three_unit_points() -> list[SweepPoint]:
+    """Three buffer scales on one PhiConfig plus two more pattern counts."""
+    points = [
+        SweepPoint(
+            workload=SPEC,
+            arch=TINY.arch_config(),
+            phi=TINY.phi_config(),
+            buffer_scale=scale,
+        )
+        for scale in (0.5, 1.0, 2.0)
+    ]
+    points += [
+        SweepPoint(
+            workload=SPEC,
+            arch=TINY.arch_config(num_patterns=q),
+            phi=TINY.phi_config(num_patterns=q),
+        )
+        for q in (4, 8)
+    ]
+    return points
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """An in-process pool that records every submitted task."""
+
+    def __init__(self) -> None:
+        super().__init__(max_workers=2)
+        self.submitted: list[tuple] = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted.append((fn, args))
+        return super().submit(fn, *args, **kwargs)
+
+
+def _blas_threads() -> int | None:
+    """Thread count of the OpenBLAS loaded in this process, if any."""
+    with open("/proc/self/maps") as maps:
+        paths = {line.split()[-1] for line in maps if "openblas" in line}
+    for path in paths:
+        library = ctypes.CDLL(path)
+        for name in ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+            if hasattr(library, name):
+                return getattr(library, name)()
+    return None
+
+
+def _run(points: list[SweepPoint], **engine_args) -> tuple[list[dict], SweepEngine]:
+    with SweepEngine(**engine_args) as engine:
+        return engine.run(points), engine
 
 
 class TestSharedMemoryHandoff:
+    """``--jobs 4`` record equality, kept from the shared-memory suite.
+
+    Pool tasks now run whole units, so no artifact crosses processes
+    through shared memory and no segment can leak; the test keeps its id.
+    """
+
     def test_jobs4_matches_serial_and_leaks_no_segments(self, tmp_path):
-        """Follower records ride shared memory yet match the serial run."""
+        """A unit's points run in one pool task and match the serial run."""
         points = shared_unit_points(3)
-        with SweepEngine(
+        serial, _ = _run(
+            points,
             cache=ResultCache(tmp_path / "serial"),
             store=ArtifactStore(tmp_path / "serial-store"),
-            jobs=1,
-        ) as engine:
-            serial = engine.run(points)
-
-        with SweepEngine(
+        )
+        parallel, _ = _run(
+            points,
             cache=ResultCache(tmp_path / "parallel"),
             store=ArtifactStore(tmp_path / "parallel-store"),
             jobs=4,
-        ) as engine:
-            parallel = engine.run(points)
-            # One unit with two followers: its calibration and its
-            # decomposition set were exported exactly once each.
-            assert len(engine._shared) == 2
+        )
         assert parallel == serial
-        assert len(engine._shared) == 0, "close() must unlink every segment"
-        assert _own_dev_shm_segments() == []
 
-    def test_export_attach_roundtrip_primes_the_memo(self, tmp_path):
-        """An attached segment serves the artifact without a disk read."""
-        point = shared_unit_points(1)[0]
-        store = ArtifactStore(tmp_path)
-        with SweepEngine(store=store, jobs=1) as engine:
-            engine.run([point])
 
-        shared = SharedArtifacts()
-        payload = engine_module._artifact_payload(point.workload, point.phi)
-        manifest = []
-        for kind in (KIND_CALIBRATION, KIND_DECOMPOSITION):
-            entry = shared.export(store, kind, store.key(kind, payload))
-            assert entry is not None
-            manifest.append(entry)
-        try:
-            # A fresh, empty store directory: only the primed memo can
-            # serve, so a successful get proves the shared pages did.
-            fresh = ArtifactStore(tmp_path / "empty")
-            assert attach_and_prime(fresh, manifest) == 2
-            assert set(live_segments()) >= {entry[2] for entry in manifest}
-            for kind, key, _name in manifest:
-                assert fresh.get(kind, key) is not None
-            assert fresh.hits == 2
-            assert fresh.misses == 0
-        finally:
-            shared.close()
-        assert len(shared) == 0
+class TestUnitDispatch:
+    def test_one_pool_task_per_unit(self):
+        """Three units make three pool tasks, whatever their point counts."""
+        points = three_unit_points()
+        serial, _ = _run(points)
+        engine = SweepEngine(jobs=2)
+        pool = engine._pool = RecordingPool()
+        with engine:
+            parallel = engine.run(points)
+        assert [fn for fn, _ in pool.submitted] == [
+            engine_module._simulate_with_shared
+        ] * 3
+        assert sorted(len(args[0]) for _, args in pool.submitted) == [1, 1, 3]
+        assert parallel == serial
 
-    def test_export_returns_same_entry_per_key(self, tmp_path):
-        point = shared_unit_points(1)[0]
-        store = ArtifactStore(tmp_path)
-        with SweepEngine(store=store, jobs=1) as engine:
-            engine.run([point])
-        shared = SharedArtifacts()
-        payload = engine_module._artifact_payload(point.workload, point.phi)
-        key = store.key(KIND_CALIBRATION, payload)
-        try:
-            first = shared.export(store, KIND_CALIBRATION, key)
-            second = shared.export(store, KIND_CALIBRATION, key)
-            assert first is not None and first == second
-            assert len(shared) == 1
-        finally:
-            shared.close()
+    def test_pool_store_counters_match_serial(self, tmp_path):
+        """Worker-side store hits and misses reach the parent's store."""
+        points = three_unit_points()
+        serial, serial_engine = _run(points, store=ArtifactStore(tmp_path / "serial"))
+        parallel, parallel_engine = _run(
+            points, store=ArtifactStore(tmp_path / "parallel"), jobs=2
+        )
+        assert parallel == serial
+        assert parallel_engine.store.misses == serial_engine.store.misses > 0
+        assert parallel_engine.store.hits > 0
 
-    def test_attach_missing_segment_degrades_to_disk(self, tmp_path):
-        """A dead segment name is skipped; the store still serves it."""
-        store = ArtifactStore(tmp_path)
-        manifest = [(KIND_CALIBRATION, "00" * 32, "phiart-gone-segment")]
-        assert attach_and_prime(store, manifest) == 0
-        assert attach_and_prime(None, manifest) == 0
-        assert attach_and_prime(store, []) == 0
-
-    def test_export_unknown_key_returns_none(self, tmp_path):
-        shared = SharedArtifacts()
-        try:
-            assert shared.export(ArtifactStore(tmp_path), KIND_CALIBRATION, "ff" * 32) is None
-        finally:
-            shared.close()
+    def test_pool_workers_split_the_cores_between_their_blas(self):
+        """Each worker's BLAS runs on the cores divided by the pool size."""
+        if not os.path.exists("/proc/self/maps") or _blas_threads() is None:
+            pytest.skip("no OpenBLAS found in this process")
+        with SweepEngine(jobs=2) as engine:
+            threads = engine._ensure_pool().submit(_blas_threads).result()
+        assert threads == max(1, (os.cpu_count() or 1) // 2)

@@ -9,6 +9,7 @@ and `--jobs 4` produce byte-identical v3 records).
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -198,6 +199,26 @@ class TestConcurrentWrites:
         assert len(cache) == 1
         assert cache.get("ab" + "0" * 62) == record
         assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_racing_counter_merges_lose_no_update(self, tmp_path):
+        """``add_counts`` racing ``get`` in other threads loses no count."""
+        store = ArtifactStore(tmp_path)
+        missing = "00" * 32
+
+        def merge(_: int) -> None:
+            for _ in range(200):
+                store.add_counts(1, 2)
+                assert store.get(KIND_WORKLOAD, missing) is None
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                list(pool.map(merge, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert store.hits == 8 * 200
+        assert store.misses == 8 * 200 * 3
 
 
 def _clear_process_memos() -> None:
