@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.config import KMeansConfig
-from ..core.kmeans import binary_kmeans, filter_calibration_rows, hamming_distance_matrix
+from ..core.kmeans import binary_kmeans, filter_calibration_rows, unique_binary_rows
 
 
 @dataclass(frozen=True)
@@ -95,18 +95,18 @@ def cluster_stats(
     if analysed.shape[0] < max(num_clusters, 2):
         analysed = rows
 
-    unique_rows = np.unique(analysed, axis=0)
+    unique_rows = unique_binary_rows(analysed)
     clusters = min(num_clusters, unique_rows.shape[0])
-    result = binary_kmeans(analysed, clusters, KMeansConfig(seed=seed))
-    distances = hamming_distance_matrix(analysed, result.centers)
-    nearest = distances.min(axis=1)
-    mean_distance = float(nearest.mean())
+    result = binary_kmeans(analysed, clusters, KMeansConfig(seed=seed), unique_rows=unique_rows)
+    # Each row's assigned centre is its nearest, so the inertia sums the
+    # nearest-centre distances.
+    mean_distance = result.inertia / analysed.shape[0]
 
     density = float(analysed.mean())
     baseline = expected_random_distance(analysed.shape[1], density, clusters)
     return ClusterStats(
         num_rows=int(rows.shape[0]),
-        num_unique_rows=int(np.unique(rows, axis=0).shape[0]),
+        num_unique_rows=int(unique_binary_rows(rows).shape[0]),
         top_pattern_coverage=top_pattern_coverage(rows),
         mean_distance_to_center=mean_distance,
         normalized_cluster_score=mean_distance / baseline,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import KMeansConfig
-from .patterns import PatternSet
+from .patterns import PatternSet, distinct_rows, hamming_packed, pack_rows
 
 
 @dataclass(frozen=True)
@@ -70,39 +70,19 @@ def hamming_distance_matrix(rows: np.ndarray, centers: np.ndarray) -> np.ndarray
             f"width mismatch: rows have {rows.shape[1]} bits, centers have "
             f"{centers.shape[1]}"
         )
-    # For binary data, Hamming distance decomposes into a dot-product form:
-    # H(x, c) = sum(x) + sum(c) - 2 * x.c  which avoids materialising the
-    # (n, q, k) broadcast tensor for large calibration sets.  The GEMM runs
-    # in float64 so it dispatches to BLAS; every intermediate is a small
-    # integer (bounded by the partition width), hence exactly representable
-    # and the int64 conversion is lossless.
-    rows_f = rows.astype(np.float64)
-    centers_f = centers.astype(np.float64)
-    cross = rows_f @ centers_f.T
-    row_pop = rows_f.sum(axis=1, keepdims=True)
-    center_pop = centers_f.sum(axis=1, keepdims=True).T
-    return (row_pop + center_pop - 2 * cross).astype(np.int64)
+    return hamming_packed(pack_rows(rows), pack_rows(centers))
 
 
 def unique_binary_rows(rows: np.ndarray) -> np.ndarray:
     """Sorted unique rows of a binary matrix (fast ``np.unique(axis=0)``).
 
-    Bit-packing each row into big-endian bytes preserves lexicographic
-    row order exactly (the first differing bit decides the comparison in
-    both representations, and the zero padding bits can only tie), so a
-    1-D unique over the packed bytes followed by unpacking returns the
-    byte-for-byte identical result of ``np.unique(rows, axis=0)`` while
-    sorting 8x fewer elements.
+    See :func:`~repro.core.patterns.distinct_rows`, which sorts one
+    packed key per row instead of ``k`` elements.
     """
     rows = np.asarray(rows, dtype=np.uint8)
     if rows.ndim != 2:
         raise ValueError("rows must be 2-D")
-    if rows.shape[0] == 0 or rows.shape[1] == 0:
-        return np.unique(rows, axis=0)
-    packed = np.packbits(rows, axis=1)
-    as_void = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    unique_packed = np.unique(as_void).view(np.uint8).reshape(-1, packed.shape[1])
-    return np.unpackbits(unique_packed, axis=1, count=rows.shape[1])
+    return distinct_rows(rows)[0]
 
 
 def filter_calibration_rows(
@@ -130,21 +110,16 @@ def filter_calibration_rows(
 
 
 def _init_centers(
-    rows: np.ndarray,
-    q: int,
-    rng: np.random.Generator,
-    unique_rows: np.ndarray | None = None,
+    unique_rows: np.ndarray, q: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Initialise ``q`` centres from distinct rows where possible."""
-    if unique_rows is None:
-        unique_rows = unique_binary_rows(rows)
+    """Initialise ``q`` centres from the distinct rows where possible."""
     if unique_rows.shape[0] >= q:
         idx = rng.choice(unique_rows.shape[0], size=q, replace=False)
         return unique_rows[idx].copy()
     # Fewer unique rows than requested centres: take every unique row and
     # pad with random binary vectors so the shape contract holds.
     extra = q - unique_rows.shape[0]
-    random_bits = (rng.random((extra, rows.shape[1])) < 0.5).astype(np.uint8)
+    random_bits = (rng.random((extra, unique_rows.shape[1])) < 0.5).astype(np.uint8)
     return np.vstack([unique_rows, random_bits])
 
 
@@ -167,15 +142,25 @@ def binary_kmeans(
     config:
         Clustering hyper-parameters; defaults to :class:`KMeansConfig`.
     unique_rows:
-        Optional precomputed ``unique_binary_rows(rows)``; callers that
-        already deduplicated the rows pass it so centre initialisation
-        does not repeat the work.
+        Optional ``unique_binary_rows(rows)`` that the caller already
+        holds.  The clustering derives the distinct rows itself; passing
+        them lets call-level profiling count them (``perfbench/tracer.py``
+        does).  Any other array raises ``ValueError``.
 
     Returns
     -------
     ClusteringResult
         Centres rounded to {0, 1}, per-row assignments, final inertia and
         iteration count.
+
+    Notes
+    -----
+    Every step of Lloyd's iteration depends on a row only through its
+    bits, so the iteration runs over the distinct rows, each weighted by
+    the number of rows it stands for.  Identical rows get identical
+    distances and hence identical assignments, and the weighted counts,
+    bit sums, change count and inertia are the same integers the
+    per-row sums give, so the result equals clustering every row.
     """
     config = config or KMeansConfig()
     rows = np.asarray(rows, dtype=np.uint8)
@@ -185,56 +170,57 @@ def binary_kmeans(
         raise ValueError("cannot cluster an empty set of rows")
     if num_clusters < 1:
         raise ValueError("num_clusters must be >= 1")
+    distinct, inverse = distinct_rows(rows)
+    if unique_rows is not None and not np.array_equal(unique_rows, distinct):
+        raise ValueError("unique_rows must equal unique_binary_rows(rows)")
 
     rng = np.random.default_rng(config.seed)
-    centers = _init_centers(rows, num_clusters, rng, unique_rows)
-    assignments = np.zeros(rows.shape[0], dtype=np.int64)
+    centers = _init_centers(distinct, num_clusters, rng)
     n_rows = rows.shape[0]
     num_cols = rows.shape[1]
     iterations = 0
 
-    # The row side of every distance computation and centre update is
-    # loop-invariant: hoist the float operands of the Hamming GEMM (see
-    # hamming_distance_matrix for why float64 is exact here) and the
-    # nonzero coordinates driving the per-cluster bit sums.
-    rows_f = rows.astype(np.float64)
-    row_pop = rows_f.sum(axis=1, keepdims=True)
-    nonzero_rows, nonzero_cols = np.nonzero(rows)
+    # ``weights`` counts the rows behind each distinct row.  The row side
+    # of every distance computation and centre update is loop-invariant:
+    # hoist the packed words and the nonzero coordinates driving the
+    # per-cluster bit sums.
+    distinct_words = pack_rows(distinct)
+    weights = np.bincount(inverse, minlength=distinct.shape[0])
+    nonzero_rows, nonzero_cols = np.nonzero(distinct)
+    nonzero_weights = weights[nonzero_rows]
+    assignments = np.zeros(distinct.shape[0], dtype=np.int64)
 
     def distances_to(current_centers: np.ndarray) -> np.ndarray:
-        centers_f = current_centers.astype(np.float64)
-        cross = rows_f @ centers_f.T
-        center_pop = centers_f.sum(axis=1, keepdims=True).T
-        return (row_pop + center_pop - 2 * cross).astype(np.int64)
+        return hamming_packed(distinct_words, pack_rows(current_centers))
 
     for iteration in range(config.max_iterations):
         iterations = iteration + 1
         distances = distances_to(centers)
         new_assignments = distances.argmin(axis=1)
 
-        changed = int(np.count_nonzero(new_assignments != assignments))
+        changed = int(weights[new_assignments != assignments].sum())
         assignments = new_assignments
 
         # Update each centre as the rounded mean of its members, in one
-        # pass: per-cluster bit sums via bincount over the (cluster,
-        # column) pairs of every 1 bit, then the exact integer form of
-        # the >= 0.5 rounding (2 * sum >= count).
+        # pass: per-cluster bit sums via weighted bincount over the
+        # (cluster, column) pairs of every 1 bit, then the exact integer
+        # form of the >= 0.5 rounding (2 * sum >= count).  The float
+        # bincount sums are small integers, so the int64 cast is exact.
         new_centers = centers.copy()
-        counts = np.bincount(assignments, minlength=num_clusters)
-        sums = np.bincount(
-            assignments[nonzero_rows] * num_cols + nonzero_cols,
-            minlength=num_clusters * num_cols,
-        ).reshape(num_clusters, num_cols)
+        counts = np.bincount(assignments, weights, num_clusters).astype(np.int64)
+        bit_index = assignments[nonzero_rows] * num_cols + nonzero_cols
+        sums = np.bincount(bit_index, nonzero_weights, num_clusters * num_cols)
+        sums = sums.astype(np.int64).reshape(num_clusters, num_cols)
         occupied = counts > 0
         new_centers[occupied] = (
             2 * sums[occupied] >= counts[occupied, None]
         ).astype(np.uint8)
         empty = np.flatnonzero(~occupied)
         if empty.size and config.empty_cluster_strategy == "reseed":
-            # Reseed with the row farthest from its current centre (all
-            # empty clusters receive the same farthest row, as before).
-            row_dist = distances[np.arange(n_rows), assignments]
-            farthest = int(row_dist.argmax())
+            # Reseed with the first row farthest from its current centre
+            # (all empty clusters receive the same farthest row).
+            row_dist = distances[np.arange(distinct.shape[0]), assignments]
+            farthest = int(row_dist[inverse].argmax())
             new_centers[empty] = rows[farthest]
 
         converged = np.array_equal(new_centers, centers) and changed == 0
@@ -244,11 +230,11 @@ def binary_kmeans(
 
     distances = distances_to(centers)
     assignments = distances.argmin(axis=1)
-    inertia = int(distances[np.arange(n_rows), assignments].sum())
+    row_dist = distances[np.arange(distinct.shape[0]), assignments]
     return ClusteringResult(
         centers=centers.astype(np.uint8),
-        assignments=assignments,
-        inertia=inertia,
+        assignments=assignments[inverse],
+        inertia=int(row_dist @ weights),
         iterations=iterations,
     )
 

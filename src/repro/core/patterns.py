@@ -46,6 +46,50 @@ def _validate_binary(matrix: np.ndarray, name: str) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.uint8)
 
 
+def pack_rows(rows: np.ndarray) -> np.ndarray:
+    """Pack each binary row into ``max(1, ceil(k / 64))`` ``uint64`` words.
+
+    Bits fill each word from its most significant end, in row order, and
+    the padding bits are zero, so comparing two rows' words in order
+    compares the rows lexicographically.
+    """
+    padded = np.zeros((rows.shape[0], 64 * max(1, -(-rows.shape[1] // 64))), dtype=np.uint8)
+    padded[:, : rows.shape[1]] = rows
+    return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct rows of a binary matrix, and where each row went.
+
+    Returns ``(unique, inverse)``: ``unique`` equals ``np.unique(rows,
+    axis=0)`` and ``unique[inverse]`` equals ``rows``.  Each row's
+    :func:`pack_rows` words become one key (the word itself up to 64
+    bits, the void view of the big-endian words beyond), and the keys sort
+    as the rows do, so one 1-D unique over them replaces a row-wise sort.
+    """
+    words = pack_rows(rows)
+    if words.shape[1] == 1:
+        keys = words[:, 0]
+    else:
+        keys = words.astype(">u8").view(np.dtype((np.void, 8 * words.shape[1]))).ravel()
+    keys, inverse = np.unique(keys, return_inverse=True)
+    as_bytes = np.ascontiguousarray(keys, dtype=">u8" if keys.dtype.kind == "u" else keys.dtype)
+    as_bytes = as_bytes.view(np.uint8).reshape(keys.shape[0], keys.dtype.itemsize)
+    return np.unpackbits(as_bytes, axis=1, count=rows.shape[1]), inverse
+
+
+def hamming_packed(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The ``(n, q)`` Hamming distances between packed ``(n, w)`` and ``(q, w)`` words.
+
+    The package's one Hamming kernel: each pair's XOR popcount, summed
+    over the :func:`pack_rows` words, as ``int64``.
+    """
+    distances = np.bitwise_count(rows[:, 0, None] ^ centers[None, :, 0]).astype(np.int64)
+    for word in range(1, rows.shape[1]):
+        distances += np.bitwise_count(rows[:, word, None] ^ centers[None, :, word])
+    return distances
+
+
 @dataclass(frozen=True)
 class Pattern:
     """A single binary pattern with its assigned index.
@@ -109,7 +153,7 @@ class PatternSet:
 
     def __init__(self, patterns: np.ndarray) -> None:
         self._matrix = _validate_binary(patterns, "patterns")
-        self._match_operands: tuple[np.ndarray, np.ndarray] | None = None
+        self._packed: np.ndarray | None = None  # pack_rows words, on first match
 
     @property
     def matrix(self) -> np.ndarray:
@@ -197,19 +241,9 @@ class PatternSet:
                 f"rows width {rows.shape[1]} does not match pattern width "
                 f"{self.width}"
             )
-        # For binary vectors the Hamming distance has an exact dot-product
-        # form, H(x, p) = |x| + |p| - 2 x.p, which runs as one BLAS GEMM
-        # instead of materialising the (m, q, k) broadcast tensor.  All
-        # intermediates are small integers (bounded by the pattern width),
-        # exactly representable in float64, so the result is exact.
-        if self._match_operands is None:
-            patterns_f = self._matrix.astype(np.float64)
-            self._match_operands = (patterns_f, patterns_f.sum(axis=1, keepdims=True).T)
-        patterns_f, pattern_pop = self._match_operands
-        rows_f = rows.astype(np.float64)
-        overlap = rows_f @ patterns_f.T
-        row_pop = rows_f.sum(axis=1, keepdims=True)
-        return (row_pop + pattern_pop - 2 * overlap).astype(np.int64)
+        if self._packed is None:
+            self._packed = pack_rows(self._matrix)
+        return hamming_packed(pack_rows(rows), self._packed)
 
     def memory_bits(self) -> int:
         """Storage cost of the pattern set itself in bits."""

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .patterns import NO_PATTERN, PatternSet, is_binary_matrix
+from .patterns import NO_PATTERN, PatternSet, distinct_rows, is_binary_matrix
 
 
 @dataclass(frozen=True)
@@ -75,17 +75,11 @@ class TileDecomposition:
 
     def level1_matrix(self) -> np.ndarray:
         """Materialise the Level 1 matrix (each row a pattern or zeros)."""
-        out = np.zeros_like(self.original, dtype=np.int8)
-        for i, idx in enumerate(self.pattern_indices):
-            if idx != NO_PATTERN:
-                out[i] = self.patterns.bits_of(int(idx))
-        return out
+        return _level1_rows(self.patterns, self.pattern_indices).astype(np.int8)
 
     def reconstruct(self) -> np.ndarray:
         """Reconstruct the original activation tile from L1 + L2."""
-        return (self.level1_matrix().astype(np.int16) + self.level2.astype(np.int16)).astype(
-            np.int8
-        )
+        return (_level1_rows(self.patterns, self.pattern_indices) + self.level2).astype(np.int8)
 
     # ------------------------------------------------------------------ #
     # Density metrics (used throughout the evaluation section)
@@ -171,37 +165,28 @@ def decompose_tile(tile: np.ndarray, patterns: PatternSet) -> TileDecomposition:
             f"tile width {tile.shape[1]} does not match pattern width {patterns.width}"
         )
 
-    num_rows = tile.shape[0]
-    pattern_indices = np.zeros(num_rows, dtype=np.int32)
-    level2 = np.zeros(tile.shape, dtype=np.int8)
-
-    if num_rows == 0:
-        return TileDecomposition(pattern_indices, level2, patterns, tile)
-
-    distances = patterns.match_counts(tile)  # (M, q) Hamming distances
+    # The choice is a pure function of a row's bits, so each distinct row
+    # is matched once and its choice scattered back to its copies.
+    distinct, inverse = distinct_rows(tile)
+    distances = patterns.match_counts(distinct)  # (distinct, q) Hamming distances
     best_pattern = distances.argmin(axis=1)  # 0-based
-    best_distance = distances[np.arange(num_rows), best_pattern]
-    popcounts = tile.sum(axis=1).astype(np.int64)
-
+    best_distance = distances[np.arange(distinct.shape[0]), best_pattern]
     # Assign a pattern only when it strictly reduces the number of runtime
     # corrections compared to the plain bit-sparse row.
-    use_pattern = best_distance < popcounts
+    use_pattern = best_distance < distinct.sum(axis=1)
+    pattern_indices = np.where(use_pattern, best_pattern + 1, NO_PATTERN)[inverse]
+    return rebuild_tile(tile, patterns, pattern_indices)
 
-    pattern_indices[use_pattern] = best_pattern[use_pattern].astype(np.int32) + 1
 
-    pattern_matrix = patterns.matrix.astype(np.int16)
-    assigned = pattern_matrix[best_pattern[use_pattern]]
-    level2_assigned = tile[use_pattern].astype(np.int16) - assigned
-    level2[use_pattern] = level2_assigned.astype(np.int8)
-    # Rows without a pattern fall back to their original bit-sparse form.
-    level2[~use_pattern] = tile[~use_pattern].astype(np.int8)
+def _level1_rows(patterns: PatternSet, pattern_indices: np.ndarray) -> np.ndarray:
+    """The ``int16`` Level 1 row of each 1-based pattern index.
 
-    return TileDecomposition(
-        pattern_indices=pattern_indices,
-        level2=level2,
-        patterns=patterns,
-        original=tile,
-    )
+    One gather from the pattern table padded with an all-zero row 0, so
+    unassigned rows (``NO_PATTERN`` == 0) come out as zeros.
+    """
+    padded = np.zeros((patterns.num_patterns + 1, patterns.width), dtype=np.int16)
+    padded[1:] = patterns.matrix
+    return padded[pattern_indices]
 
 
 def rebuild_tile(
@@ -223,13 +208,8 @@ def rebuild_tile(
         raise ValueError(
             f"pattern_indices must have shape ({tile.shape[0]},), got {indices.shape}"
         )
-    # One gather instead of boolean-masked scatters: row 0 of the padded
-    # pattern table is all-zero, so unassigned rows (``NO_PATTERN`` == 0)
-    # subtract nothing and keep their bit-sparse form — bit-exact with
-    # the per-mask formulation, at a fraction of its indexing cost.
-    padded = np.zeros((patterns.matrix.shape[0] + 1, tile.shape[1]), dtype=np.int16)
-    padded[1:] = patterns.matrix
-    level2 = (tile.astype(np.int16) - padded[indices]).astype(np.int8)
+    # Unassigned rows subtract nothing and keep their bit-sparse form.
+    level2 = (tile.astype(np.int16) - _level1_rows(patterns, indices)).astype(np.int8)
     return TileDecomposition(
         pattern_indices=indices, level2=level2, patterns=patterns, original=tile
     )

@@ -1,0 +1,54 @@
+"""Per-row Phi tile decomposition.
+
+This is ``repro.core.sparsity.decompose_tile`` as it was before it
+matched each distinct row once: every row is matched against every
+pattern (float64 GEMM form of the Hamming distance) and Level 2 is built
+with boolean-mask scatters.  Property tests check that the deduplicated
+version returns the same pattern indices and Level 2 matrix.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.patterns import PatternSet
+from repro.core.sparsity import TileDecomposition
+
+
+def decompose_tile(tile: np.ndarray, patterns: PatternSet) -> TileDecomposition:
+    """Decompose one binary activation tile against a pattern set."""
+    tile = np.asarray(tile).astype(np.uint8, copy=False)
+    num_rows = tile.shape[0]
+    pattern_indices = np.zeros(num_rows, dtype=np.int32)
+    level2 = np.zeros(tile.shape, dtype=np.int8)
+
+    if num_rows == 0:
+        return TileDecomposition(pattern_indices, level2, patterns, tile)
+
+    rows_f = tile.astype(np.float64)
+    patterns_f = patterns.matrix.astype(np.float64)
+    distances = (
+        rows_f.sum(axis=1, keepdims=True)
+        + patterns_f.sum(axis=1, keepdims=True).T
+        - 2 * (rows_f @ patterns_f.T)
+    ).astype(np.int64)
+    best_pattern = distances.argmin(axis=1)
+    best_distance = distances[np.arange(num_rows), best_pattern]
+    popcounts = tile.sum(axis=1).astype(np.int64)
+
+    use_pattern = best_distance < popcounts
+
+    pattern_indices[use_pattern] = best_pattern[use_pattern].astype(np.int32) + 1
+
+    pattern_matrix = patterns.matrix.astype(np.int16)
+    assigned = pattern_matrix[best_pattern[use_pattern]]
+    level2_assigned = tile[use_pattern].astype(np.int16) - assigned
+    level2[use_pattern] = level2_assigned.astype(np.int8)
+    level2[~use_pattern] = tile[~use_pattern].astype(np.int8)
+
+    return TileDecomposition(
+        pattern_indices=pattern_indices,
+        level2=level2,
+        patterns=patterns,
+        original=tile,
+    )
