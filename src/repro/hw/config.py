@@ -162,7 +162,3 @@ class ArchConfig:
         if buffers is not None:
             params["buffers"] = BufferSizes.from_dict(buffers)
         return cls(**params)
-
-
-#: The configuration used in the paper's evaluation.
-PAPER_ARCH = ArchConfig()

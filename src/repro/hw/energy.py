@@ -101,7 +101,7 @@ class PhiEnergyModel:
     ) -> None:
         self.config = config
         self.components = dict(components)
-        # Buffer area/power scale roughly linearly with capacity; the
+        # On-chip buffer area/power scale roughly linearly with capacity; the
         # Fig. 7d sweep varies buffer_scale.
         self.buffer_scale = buffer_scale
 

@@ -7,10 +7,12 @@ corresponding pre-computed Pattern-Weight Products (PWPs) through a
 examines 16 consecutive pattern indices of a row; when more than 8 of
 them are nonzero the surplus spills into the next cycle.
 
-The module also models the **PWP prefetcher**: because the pattern-index
-matrix of the *next* tile is produced while the current tile computes,
-the prefetcher knows exactly which patterns will be used and loads only
-those PWPs from DRAM, instead of all ``q`` patterns per partition.
+The **PWP prefetcher** exploits that the pattern-index matrix of the
+*next* tile is produced while the current tile computes: it knows
+exactly which patterns will be used and loads only those PWPs from DRAM,
+instead of all ``q`` patterns per partition.  This module counts the
+distinct (partition, pattern) pairs a tile uses; the simulator's DRAM
+stage turns them into PWP traffic.
 """
 
 from __future__ import annotations
@@ -45,37 +47,19 @@ def distinct_nonzero_per_column(matrix: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class L1Result:
-    """Cycle and traffic accounting of the L1 processor for one tile.
+    """Cycle accounting of the L1 processor for one tile.
 
     Attributes
     ----------
     cycles:
         Compute cycles spent retrieving and accumulating PWPs.
-    pwp_accumulations:
-        Number of PWP vector accumulations (one per assigned pattern).
     unique_patterns_used:
-        Number of distinct (partition, pattern) pairs referenced.
-    pwp_bytes_prefetched:
-        DRAM bytes for PWPs when the prefetcher filters unused patterns.
-    pwp_bytes_unfiltered:
-        DRAM bytes if every calibrated PWP of the tile were loaded.
-    index_bytes:
-        Bytes of pattern-index metadata read from the on-chip buffer.
+        Number of distinct (partition, pattern) pairs referenced — the
+        PWP rows the prefetcher loads for the tile.
     """
 
     cycles: int
-    pwp_accumulations: int
     unique_patterns_used: int
-    pwp_bytes_prefetched: float
-    pwp_bytes_unfiltered: float
-    index_bytes: float
-
-    @property
-    def prefetch_saving_ratio(self) -> float:
-        """Fraction of PWP traffic eliminated by the prefetcher."""
-        if self.pwp_bytes_unfiltered == 0:
-            return 0.0
-        return 1.0 - self.pwp_bytes_prefetched / self.pwp_bytes_unfiltered
 
 
 class L1Processor:
@@ -84,13 +68,7 @@ class L1Processor:
     def __init__(self, config: ArchConfig) -> None:
         self.config = config
 
-    def process_tile(
-        self,
-        pattern_index_matrix: np.ndarray,
-        *,
-        num_patterns_per_partition: int | None = None,
-        output_width: int | None = None,
-    ) -> L1Result:
+    def process_tile(self, pattern_index_matrix: np.ndarray) -> L1Result:
         """Process the pattern-index matrix of one output tile.
 
         Parameters
@@ -98,23 +76,10 @@ class L1Processor:
         pattern_index_matrix:
             Integer matrix of shape ``(rows, partitions)``; entry 0 means
             "no pattern assigned".
-        num_patterns_per_partition:
-            Calibrated pattern count ``q`` (defaults to the architecture
-            configuration).
-        output_width:
-            N width of the output tile (defaults to ``tile_n``).
         """
         matrix = np.asarray(pattern_index_matrix)
         if matrix.ndim != 2:
             raise ValueError("pattern_index_matrix must be 2-D")
-        # ``is None`` (not ``or``): an explicit 0 is a legal degenerate
-        # width/count and must not fall back to the config default.
-        q = (
-            self.config.num_patterns
-            if num_patterns_per_partition is None
-            else num_patterns_per_partition
-        )
-        n = self.config.tile_n if output_width is None else output_width
         rows, partitions = matrix.shape
         group = 16  # indices examined per cycle
         lanes = self.config.num_channels  # PWPs forwarded to the adder tree per cycle
@@ -136,19 +101,8 @@ class L1Processor:
             group_cycles = (per_group + lanes - 1) // lanes
             cycles = int(np.where(per_group == 0, 1, group_cycles).sum())
 
-        accumulations = int(np.count_nonzero(matrix))
         # Unique (partition, pattern) pairs determine prefetched PWP rows.
-        unique_pairs = distinct_nonzero_per_column(matrix)
-
-        pwp_row_bytes = n * self.config.pwp_bytes
-        prefetched = unique_pairs * pwp_row_bytes
-        unfiltered = partitions * q * pwp_row_bytes
-        index_bytes = matrix.size  # one byte per pattern index entry
         return L1Result(
             cycles=cycles,
-            pwp_accumulations=accumulations,
-            unique_patterns_used=unique_pairs,
-            pwp_bytes_prefetched=float(prefetched),
-            pwp_bytes_unfiltered=float(unfiltered),
-            index_bytes=float(index_bytes),
+            unique_patterns_used=distinct_nonzero_per_column(matrix),
         )

@@ -9,57 +9,21 @@ almost always hidden behind the much longer L1/L2 processing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import ArchConfig
 
 
-@dataclass(frozen=True)
-class NeuronArrayResult:
-    """Cycle/operation accounting of the spiking neuron array."""
-
-    cycles: int
-    neuron_updates: int
-    spikes_emitted: int
-
-    @property
-    def firing_rate(self) -> float:
-        """Fraction of neuron updates that produced a spike."""
-        if self.neuron_updates == 0:
-            return 0.0
-        return self.spikes_emitted / self.neuron_updates
-
-
 class SpikingNeuronArray:
     """Parallel array of LIF units applied to output tiles."""
 
-    def __init__(self, config: ArchConfig, *, num_units: int = 32, threshold: float = 1.0) -> None:
+    def __init__(self, config: ArchConfig, *, num_units: int = 32) -> None:
         if num_units < 1:
             raise ValueError("num_units must be >= 1")
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
         self.config = config
         self.num_units = num_units
-        self.threshold = threshold
 
-    def process_tile(self, output_tile: np.ndarray) -> NeuronArrayResult:
-        """Apply the LIF threshold to one aggregated output tile."""
-        output_tile = np.asarray(output_tile, dtype=np.float64)
-        updates = int(output_tile.size)
-        spikes = int(np.count_nonzero(output_tile >= self.threshold))
-        cycles = int(np.ceil(updates / self.num_units)) if updates else 0
-        return NeuronArrayResult(
-            cycles=cycles, neuron_updates=updates, spikes_emitted=spikes
-        )
-
-    def estimate(self, rows: int, cols: int, *, spike_fraction: float = 0.15) -> NeuronArrayResult:
-        """Estimate the result for a tile shape without materialised data."""
+    def estimate(self, rows: int, cols: int) -> int:
+        """Cycles to update a ``rows x cols`` output tile."""
         updates = rows * cols
-        cycles = int(np.ceil(updates / self.num_units)) if updates else 0
-        return NeuronArrayResult(
-            cycles=cycles,
-            neuron_updates=updates,
-            spikes_emitted=int(updates * spike_fraction),
-        )
+        return int(np.ceil(updates / self.num_units)) if updates else 0

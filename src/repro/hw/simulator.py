@@ -11,7 +11,7 @@ Execution model per layer (K-first tiling, Section 4.1), expressed as a
 * **tiling** — the activation matrix, decomposed once into the
   two-level Phi representation, is split into ``tile_m``-row M tiles,
   ``tile_k`` wide K partitions and ``tile_n`` wide N tiles,
-* **preprocess** — the Preprocessor converts every (M tile, partition)
+* **preprocess** — the preprocessor converts every (M tile, partition)
   into the Level 1 pattern-index column and the packed Level 2
   representation; this work is overlapped with the previous tile's
   compute, so it adds energy but no critical-path cycles,
@@ -64,7 +64,7 @@ from .preprocessor import (
     EMPTY_PACK_COUNTS,
     CompressedCounts,
     PackCounts,
-    Preprocessor,
+    Packer,
     pack_counts_batch,
 )
 
@@ -127,12 +127,13 @@ def plan_preprocess(
     decomposition,
     layer: LayerWorkload,
 ) -> PreprocessPlan:
-    """Plan the preprocessor's compress/pack jobs for one layer.
+    """Plan the preprocessor's compressor and packer jobs for one layer.
 
-    The per-(M tile, partition) compressed counts are sliced out of one
-    whole-partition nonzero-count pass, bit-identical to running
-    :meth:`~repro.hw.preprocessor.Compressor.compress_counts` on every
-    tile slice (the row ids of a slice are tile-local either way).
+    This is the simulator's compressor: the per-(M tile, partition)
+    compressed counts — the tile-local ids and nonzero counts of the
+    Level 2 rows that survive zero-row filtering — are sliced out of one
+    whole-partition nonzero-count pass.  Only partitions after the first
+    carry a partial sum.
     """
     boundaries = partition_boundaries(layer.k, arch.tile_k)
     m_tiles = [
@@ -169,7 +170,7 @@ def plan_preprocess(
 
 
 class PhiPreprocessStage:
-    """Preprocessor pass: match, compress and pack every (M tile, partition).
+    """Matcher, compressor and packer work of every (M tile, partition).
 
     The preprocessor overlaps with the previous tile's compute, so its
     cycles are recorded (they burn energy) but never enter the layer's
@@ -258,19 +259,14 @@ class PhiComputeStage:
         # One vectorized pack-accounting pass costs every tile's L2 side.
         l2_cycles_per_tile = sim.l2.pack_cycles_for(ctx.scratch["packs_per_tile"])
         for i, (m_start, m_stop) in enumerate(ctx.scratch["m_tiles"]):
-            l1_result = sim.l1.process_tile(
-                pattern_index_matrix[m_start:m_stop],
-                num_patterns_per_partition=sim.phi_config.num_patterns,
-                output_width=sim.arch.tile_n,
-            )
+            l1_result = sim.l1.process_tile(pattern_index_matrix[m_start:m_stop])
             l2_cycles = int(l2_cycles_per_tile[i])
             tile_compute = max(l1_result.cycles, l2_cycles) * num_n_tiles
             compute_cycles += tile_compute
             l1_cycles_total += l1_result.cycles * num_n_tiles
             l2_cycles_total += l2_cycles * num_n_tiles
 
-            neuron = sim.neuron_array.estimate(m_stop - m_start, layer.n)
-            neuron_cycles_total += neuron.cycles
+            neuron_cycles_total += sim.neuron_array.estimate(m_stop - m_start, layer.n)
             per_tile_unique_rows += l1_result.unique_patterns_used
 
         ctx.scratch.update(
@@ -451,7 +447,7 @@ class PhiSimulator(AcceleratorModel):
                 f"({self.phi_config.partition_size} != {self.arch.tile_k})"
             )
         self.energy_model = energy_model or PhiEnergyModel(self.arch)
-        self.preprocessor = Preprocessor(self.arch)
+        self.packer = Packer(self.arch)
         self.l1 = L1Processor(self.arch)
         self.l2 = L2Processor(self.arch)
         self.neuron_array = SpikingNeuronArray(self.arch)
@@ -675,8 +671,7 @@ def simulate_phi_many(
             )
             ctx.scratch["preprocess_plan"] = plan
             start = len(jobs)
-            packer = simulator.preprocessor.packer
-            jobs.extend((packer, compressed) for compressed in plan.compressed)
+            jobs.extend((simulator.packer, compressed) for compressed in plan.compressed)
             contexts.append((ctx, start, len(jobs)))
         prepared.append((simulator, result, contexts))
 

@@ -19,29 +19,25 @@ from .engine import (
     DECOMPOSITION,
     SweepEngine,
     SweepPoint,
-    SweepStats,
     WorkloadSpec,
     aligned_workload,
     calibration_for,
     default_engine,
-    model_for,
     progress_scope,
     simulate_many,
     simulate_point,
     summarize_run,
     validate_record,
 )
-from .store import STORE_SCHEMA_VERSION, ArtifactStore, default_store_dir
+from .store import ArtifactStore, default_store_dir
 
 __all__ = [
     "ArtifactStore",
     "CACHE_SCHEMA_VERSION",
     "DECOMPOSITION",
     "ResultCache",
-    "STORE_SCHEMA_VERSION",
     "SweepEngine",
     "SweepPoint",
-    "SweepStats",
     "WorkloadSpec",
     "aligned_workload",
     "cache_key",
@@ -49,7 +45,6 @@ __all__ = [
     "default_cache_dir",
     "default_engine",
     "default_store_dir",
-    "model_for",
     "progress_scope",
     "simulate_many",
     "simulate_point",

@@ -2,5 +2,15 @@
 
 Each module keeps a straightforward implementation that ``src/repro``
 replaced with a faster one; the property tests assert the two agree
-bit for bit.
+bit for bit.  ``src/`` never imports from here.
+
+* ``kmeans`` — unweighted Hamming k-means over every calibration row
+  (``repro.core.kmeans.binary_kmeans`` clusters distinct rows weighted
+  by multiplicity);
+* ``sparsity`` — per-row pattern matching and decomposition
+  (``repro.core.sparsity`` matches each distinct row once);
+* ``preprocessor`` — the object-stream compressor, packer and L2 pack
+  costing (``repro.hw`` runs per-row counters: ``plan_preprocess``,
+  ``Packer.pack_counts``, ``pack_counts_batch`` and
+  ``L2Processor.pack_cycles_for``).
 """

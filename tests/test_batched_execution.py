@@ -1,12 +1,12 @@
 """Batched cross-point execution and the unit-grain parallel dispatch.
 
 Property tests pin the bit-exactness contract: the stacked cross-point
-:func:`repro.runner.engine.simulate_many` path and the vectorized L2
-pack accounting must be *byte-identical* to the per-point / per-tile
-reference paths.  Functional tests pin the parallel engine's dispatch
-grain — one pool task per ``(workload spec, PhiConfig)`` unit — and
-check that its records and artifact-store counters equal a serial
-run's.
+:func:`repro.runner.engine.simulate_many` path must be *byte-identical*
+to the per-point path, and the vectorized L2 pack accounting must equal
+the object-stream oracle in ``tests/reference/preprocessor.py``.
+Functional tests pin the parallel engine's dispatch grain — one pool
+task per ``(workload spec, PhiConfig)`` unit — and check that its
+records and artifact-store counters equal a serial run's.
 """
 
 from __future__ import annotations
@@ -20,11 +20,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from reference import preprocessor as oracle
 
 from repro.experiments.common import TINY
 from repro.hw.config import ArchConfig
 from repro.hw.l2_processor import L2Processor
-from repro.hw.preprocessor import PackCounts
+from repro.hw.preprocessor import Packer
 from repro.runner import (
     ArtifactStore,
     ResultCache,
@@ -36,32 +38,37 @@ from repro.runner import engine as engine_module
 
 
 # --------------------------------------------------------------------- #
-# Vectorized L2 pack accounting == scalar reference
+# Vectorized L2 pack accounting == object-stream oracle
 # --------------------------------------------------------------------- #
 
-pack_counts_lists = st.lists(
-    st.builds(
-        PackCounts,
-        num_packs=st.integers(0, 400),
-        weight_units=st.integers(0, 4000),
-        psum_units=st.integers(0, 400),
-        cycles=st.integers(0, 500),
-        evictions=st.integers(0, 50),
+level2_tiles = st.lists(
+    arrays(
+        dtype=np.int8,
+        shape=st.tuples(st.integers(0, 30), st.integers(1, 16)),
+        elements=st.integers(-1, 1),
     ),
     min_size=0,
-    max_size=40,
+    max_size=12,
 )
 
 
 @settings(max_examples=60, deadline=None)
-@given(counts_list=pack_counts_lists)
-def test_pack_cycles_for_matches_scalar_path(counts_list):
-    """``pack_cycles_for`` element i == ``process_pack_counts(i).cycles``."""
-    processor = L2Processor(ArchConfig())
-    batched = processor.pack_cycles_for(counts_list)
-    expected = [processor.process_pack_counts(c).cycles for c in counts_list]
+@given(tiles=level2_tiles, needs_psum=st.booleans())
+def test_pack_cycles_for_matches_scalar_path(tiles, needs_psum):
+    """``pack_cycles_for`` element i == the oracle's L2 cycles for tile i."""
+    arch = ArchConfig()
+    counts_list = []
+    expected = []
+    for level2 in tiles:
+        compressed = oracle.compress(level2, needs_psum=needs_psum)
+        packs = oracle.pack_rows(arch, compressed.rows).packs
+        expected.append(oracle.process_packs_cycles(packs))
+        counts_list.append(
+            Packer(arch).pack_counts(oracle.counts_of(compressed, needs_psum))
+        )
+    batched = L2Processor(arch).pack_cycles_for(counts_list)
     assert batched.dtype == np.int64
-    assert batched.shape == (len(counts_list),)
+    assert batched.shape == (len(tiles),)
     assert batched.tolist() == expected
 
 

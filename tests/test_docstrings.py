@@ -1,4 +1,4 @@
-"""Docstring enforcement for the public API (runner, report, registry).
+"""Docstring enforcement for the public API (runner, report, service, hw).
 
 A lightweight, dependency-free stand-in for ``pydocstyle``/``ruff``'s D
 rules (CI additionally runs ``ruff check --select D`` — see ruff.toml):
@@ -22,6 +22,7 @@ CHECKED_FILES = sorted(
     list((SRC / "runner").glob("*.py"))
     + list((SRC / "report").glob("*.py"))
     + list((SRC / "service").glob("*.py"))
+    + list((SRC / "hw").glob("*.py"))
     + [SRC / "experiments" / "registry.py", SRC / "experiments" / "common.py"]
 )
 

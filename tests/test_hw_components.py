@@ -1,27 +1,31 @@
-"""Unit tests for the Phi accelerator components (config, buffers, DRAM,
-energy model, preprocessor, L1/L2 processors and the neuron array)."""
+"""Unit tests for the Phi accelerator components (config, energy model,
+preprocessor counters, L1/L2 processors and the neuron array).
+
+The preprocessor tests check the counter-level path the simulator runs
+against the object-stream oracle in ``tests/reference/preprocessor.py``.
+"""
 
 import numpy as np
 import pytest
+from reference import preprocessor as oracle
+from reference.preprocessor import LABEL_NONZERO, LABEL_PSUM, CompressedRow, Pack, PackUnit
 
+from repro.core.calibration import LayerCalibration, PhiCalibrator
+from repro.core.config import PhiConfig
 from repro.core.patterns import PatternSet
-from repro.hw import (
-    ArchConfig,
-    Buffer,
-    BufferSet,
-    BufferSizes,
-    Compressor,
-    DRAMModel,
-    L1Processor,
-    L2Processor,
+from repro.core.sparsity import decompose_matrix, decompose_tile
+from repro.hw import ArchConfig, BufferSizes, PhiEnergyModel, PhiSimulator
+from repro.hw.l1_processor import L1Processor
+from repro.hw.l2_processor import L2Processor
+from repro.hw.neuron_array import SpikingNeuronArray
+from repro.hw.preprocessor import (
+    EMPTY_PACK_COUNTS,
+    PackCounts,
     Packer,
-    PatternMatcher,
-    PhiEnergyModel,
-    Preprocessor,
-    ReconfigurableAdderTree,
-    SpikingNeuronArray,
+    pack_counts_batch,
 )
-from repro.hw.preprocessor import LABEL_NONZERO, LABEL_PSUM, CompressedRow, Pack, PackUnit
+from repro.hw.simulator import plan_preprocess
+from repro.workloads.workload import LayerWorkload
 
 
 @pytest.fixture
@@ -67,52 +71,6 @@ class TestArchConfig:
         assert other.tile_n == 64 and arch.tile_n == 32
 
 
-class TestBuffersAndDram:
-    def test_buffer_accounting(self):
-        buffer = Buffer("weight", 1024)
-        buffer.read(100)
-        buffer.write(50)
-        assert buffer.total_access_bytes == 150
-        buffer.reset()
-        assert buffer.total_access_bytes == 0
-
-    def test_buffer_fill_overflow(self):
-        buffer = Buffer("pwp", 100)
-        assert buffer.fill(60) == 0
-        assert buffer.fill(150) == 50
-        assert buffer.overflow_bytes == 50
-
-    def test_buffer_invalid(self):
-        with pytest.raises(ValueError):
-            Buffer("bad", 0)
-        with pytest.raises(ValueError):
-            Buffer("ok", 10).read(-1)
-
-    def test_buffer_set(self):
-        buffers = BufferSet()
-        assert buffers.total_capacity_bytes == 240 * 1024
-        buffers.weight.read(10)
-        assert buffers.total_access_bytes == 10
-        assert buffers.access_summary()["weight"] == 10
-        buffers.reset()
-        assert buffers.total_access_bytes == 0
-
-    def test_dram_traffic_and_cycles(self, arch):
-        dram = DRAMModel(arch)
-        dram.read(1000, "weights")
-        dram.write(280, "outputs")
-        assert dram.total_bytes == 1280
-        assert dram.category_bytes("weights") == 1000
-        assert dram.category_bytes("missing") == 0
-        assert dram.transfer_cycles() == pytest.approx(10.0)
-        dram.reset()
-        assert dram.total_bytes == 0
-
-    def test_dram_invalid(self, arch):
-        with pytest.raises(ValueError):
-            DRAMModel(arch).read(-5)
-
-
 class TestEnergyModel:
     def test_table3_totals(self, arch):
         model = PhiEnergyModel(arch)
@@ -145,22 +103,29 @@ class TestEnergyModel:
         assert combined.total == pytest.approx(2 * breakdown.total)
 
 
+
+
 class TestPatternMatcher:
-    def test_one_row_per_cycle(self, arch, small_patterns, rng):
-        matcher = PatternMatcher(arch)
+    def test_one_row_per_cycle(self, small_patterns, rng):
+        # The matcher streams one row per cycle past every matcher unit;
+        # the preprocess stage charges rows cycles and rows x q compares.
+        arch = ArchConfig(tile_k=8, num_patterns=3)
+        simulator = PhiSimulator(arch, PhiConfig(partition_size=8, num_patterns=3))
         tile = (rng.random((20, 8)) < 0.3).astype(np.uint8)
-        result = matcher.match_tile(tile, small_patterns)
-        assert result.cycles == 20
-        assert result.comparisons == 20 * 3
+        layer = LayerWorkload("layer", tile, np.ones((8, 4)))
+        calibration = LayerCalibration("layer", (small_patterns,), 8, 8)
+        result = simulator.simulate_layer(layer, layer_calibration=calibration)
+        assert result.preprocessor_cycles == 20
+        assert result.pattern_match_comparisons == 20 * 3
         assert np.array_equal(
-            result.decomposition.reconstruct(), tile.astype(np.int8)
+            decompose_tile(tile, small_patterns).reconstruct(), tile.astype(np.int8)
         )
 
 
 class TestCompressorAndPacker:
-    def test_compressor_filters_zero_rows(self, arch):
+    def test_compressor_filters_zero_rows(self):
         level2 = np.array([[0, 0, 0, 0], [1, 0, -1, 0], [0, 0, 0, 0]], dtype=np.int8)
-        result = Compressor(arch).compress(level2)
+        result = oracle.compress(level2)
         assert result.filtered_rows == 2
         assert len(result.rows) == 1
         assert result.rows[0].columns == (0, 2)
@@ -186,11 +151,15 @@ class TestCompressorAndPacker:
             CompressedRow(row_id=i, columns=(0, 1), values=(1, -1), needs_psum=True)
             for i in range(10)
         ]
-        result = Packer(arch).pack_rows(rows)
-        total_units = sum(pack.num_units for pack in result.packs)
-        assert total_units == 10 * 3  # 2 nonzeros + 1 psum per row
+        result = oracle.pack_rows(arch, rows)
+        assert result.total_units == 10 * 3  # 2 nonzeros + 1 psum per row
         assert result.cycles == 10
         assert all(pack.num_units <= arch.pack_size for pack in result.packs)
+        counts = Packer(arch).pack_counts(
+            oracle.counts_of(oracle.CompressorResult(rows, 10, 0), needs_psum=True)
+        )
+        assert counts.total_units == result.total_units
+        assert counts.num_packs == len(result.packs)
 
     def test_packer_avoids_psum_bank_conflicts(self, arch):
         # Rows 0 and 8 share a bank (8 banks); they must not share a pack.
@@ -198,28 +167,40 @@ class TestCompressorAndPacker:
             CompressedRow(row_id=0, columns=(0,), values=(1,), needs_psum=True),
             CompressedRow(row_id=8, columns=(1,), values=(1,), needs_psum=True),
         ]
-        result = Packer(arch).pack_rows(rows)
+        result = oracle.pack_rows(arch, rows)
         for pack in result.packs:
             banks = [u.row_id % arch.num_channels for u in pack.units if u.label == LABEL_PSUM]
             assert len(banks) == len(set(banks))
+        counts = Packer(arch).pack_counts(
+            oracle.counts_of(oracle.CompressorResult(rows, 9, 7), needs_psum=True)
+        )
+        assert counts.num_packs == len(result.packs) == 2
 
     def test_packer_splits_oversized_rows(self, arch):
         row = CompressedRow(
             row_id=0, columns=tuple(range(12)), values=tuple([1] * 12), needs_psum=True
         )
-        result = Packer(arch).pack_rows([row])
-        assert sum(p.num_units for p in result.packs) == 13
+        result = oracle.pack_rows(arch, [row])
+        assert result.total_units == 13
+        counts = Packer(arch).pack_counts(
+            oracle.counts_of(oracle.CompressorResult([row], 1, 0), needs_psum=True)
+        )
+        assert counts.total_units == 13
+        assert counts.num_packs == len(result.packs)
 
     def test_preprocessor_end_to_end(self, arch, small_patterns, rng):
-        preprocessor = Preprocessor(arch)
         tile = (rng.random((40, 8)) < 0.25).astype(np.uint8)
-        result = preprocessor.process_tile(tile, small_patterns)
-        assert result.cycles >= 40
-        nnz = int(np.count_nonzero(result.matcher.level2))
+        level2 = decompose_tile(tile, small_patterns).level2
+        compressed = oracle.compress(level2)
+        packed = oracle.pack_rows(arch, compressed.rows)
+        nnz = int(np.count_nonzero(level2))
         packed_nonzeros = sum(
-            1 for pack in result.packs for u in pack.units if u.label == LABEL_NONZERO
+            1 for pack in packed.packs for u in pack.units if u.label == LABEL_NONZERO
         )
         assert packed_nonzeros == nnz
+        counts = Packer(arch).pack_counts(oracle.counts_of(compressed, needs_psum=True))
+        assert counts.weight_units == nnz
+        assert counts.num_packs == len(packed.packs)
 
 
 class TestL1Processor:
@@ -230,112 +211,55 @@ class TestL1Processor:
         result = processor.process_tile(matrix)
         # Row 0 takes ceil(10/8) = 2 cycles, rows 1-3 take 1 cycle each.
         assert result.cycles == 2 + 3
-        assert result.pwp_accumulations == 10
+        assert result.unique_patterns_used == 10
 
     def test_prefetch_traffic_less_than_unfiltered(self, arch):
+        # The prefetcher loads one PWP row per distinct (partition,
+        # pattern) pair, not all q patterns of every partition.
         processor = L1Processor(arch)
         matrix = np.zeros((8, 4), dtype=np.int32)
         matrix[:, 0] = [1, 1, 2, 2, 3, 3, 3, 0]
-        result = processor.process_tile(matrix, num_patterns_per_partition=64)
+        result = processor.process_tile(matrix)
         assert result.unique_patterns_used == 3
-        assert result.pwp_bytes_prefetched < result.pwp_bytes_unfiltered
-        assert 0.0 < result.prefetch_saving_ratio < 1.0
+        assert result.unique_patterns_used < matrix.shape[1] * arch.num_patterns
 
     def test_rejects_bad_input(self, arch):
         with pytest.raises(ValueError):
             L1Processor(arch).process_tile(np.zeros(4))
 
-    def test_explicit_zero_width_is_not_the_default(self, arch):
-        # Regression: ``output_width or tile_n`` silently promoted an
-        # explicit 0 to the 32-wide config default.
-        matrix = np.ones((4, 16), dtype=np.int32)
-        result = L1Processor(arch).process_tile(matrix, output_width=0)
-        assert result.pwp_bytes_prefetched == 0.0
-        assert result.pwp_bytes_unfiltered == 0.0
-
-    def test_explicit_zero_pattern_count_is_not_the_default(self, arch):
-        matrix = np.zeros((4, 16), dtype=np.int32)
-        result = L1Processor(arch).process_tile(
-            matrix, num_patterns_per_partition=0
-        )
-        assert result.pwp_bytes_unfiltered == 0.0
-
 
 class TestL2Processor:
     def test_cycles_track_pack_count(self, arch):
-        processor = L2Processor(arch)
         packs = []
         for i in range(5):
             pack = Pack(arch.pack_size)
             pack.add_row([PackUnit(LABEL_NONZERO, 0, 1, i), PackUnit(LABEL_PSUM, i, 1, i)])
             packs.append(pack)
-        result = processor.process_packs(packs)
-        assert result.packs_processed == 5
-        assert result.cycles == 5 + L2Processor.PIPELINE_DEPTH
-        assert result.weight_accumulations == 5
-        assert result.psum_accumulations == 5
-        assert result.total_accumulations == 10
+        counts = PackCounts(
+            num_packs=5, weight_units=5, psum_units=5, cycles=5, evictions=0
+        )
+        cycles = L2Processor(arch).pack_cycles_for([counts])
+        assert cycles.tolist() == [5 + L2Processor.PIPELINE_DEPTH]
+        assert oracle.process_packs_cycles(packs) == cycles[0]
 
     def test_empty_packs(self, arch):
-        result = L2Processor(arch).process_packs([])
-        assert result.cycles == 0
-
-    def test_explicit_zero_width_is_not_the_default(self, arch):
-        # Regression: ``output_width or tile_n`` silently promoted an
-        # explicit 0 to the 32-wide config default.
-        pack = Pack(arch.pack_size)
-        pack.add_row([PackUnit(LABEL_NONZERO, 0, 1, 0), PackUnit(LABEL_PSUM, 0, 1, 0)])
-        result = L2Processor(arch).process_packs([pack], output_width=0)
-        assert result.weight_bytes_read == 0.0
-        assert result.psum_bytes_accessed == 0.0
-
-    def test_pack_counts_zero_width_matches_packs(self, arch):
-        pack = Pack(arch.pack_size)
-        pack.add_row([PackUnit(LABEL_NONZERO, 0, 1, 0), PackUnit(LABEL_PSUM, 0, 1, 0)])
-        from repro.hw.preprocessor import PackCounts
-
-        counts = PackCounts(
-            num_packs=1, weight_units=1, psum_units=1, cycles=1, evictions=0
-        )
-        by_counts = L2Processor(arch).process_pack_counts(counts, output_width=0)
-        by_packs = L2Processor(arch).process_packs([pack], output_width=0)
-        assert by_counts.weight_bytes_read == by_packs.weight_bytes_read == 0.0
-        assert by_counts.psum_bytes_accessed == by_packs.psum_bytes_accessed == 0.0
-
-    def test_adder_tree(self):
-        tree = ReconfigurableAdderTree(num_inputs=8, simd_width=32)
-        assert tree.segments_for([3, 3, 2]) == 1
-        assert tree.segments_for([8, 8]) == 2
-        assert tree.additions_for([2, 2]) == 4 * 32
-        with pytest.raises(ValueError):
-            tree.segments_for([0])
+        cycles = L2Processor(arch).pack_cycles_for([EMPTY_PACK_COUNTS])
+        assert cycles.tolist() == [0] == [oracle.process_packs_cycles([])]
 
 
 class TestNeuronArray:
-    def test_cycles_and_firing(self, arch):
-        array = SpikingNeuronArray(arch, num_units=32, threshold=1.0)
-        tile = np.array([[2.0, 0.5], [0.1, 1.5]])
-        result = array.process_tile(tile)
-        assert result.neuron_updates == 4
-        assert result.spikes_emitted == 2
-        assert result.cycles == 1
-        assert result.firing_rate == pytest.approx(0.5)
-
     def test_estimate(self, arch):
         array = SpikingNeuronArray(arch)
-        result = array.estimate(64, 32)
-        assert result.cycles == 64
-        assert result.neuron_updates == 64 * 32
+        assert array.estimate(64, 32) == 64
+        assert array.estimate(0, 32) == 0
 
     def test_invalid(self, arch):
         with pytest.raises(ValueError):
             SpikingNeuronArray(arch, num_units=0)
-        with pytest.raises(ValueError):
-            SpikingNeuronArray(arch, threshold=0.0)
 
 
 class TestCountsFastPath:
-    """The counter-level preprocessor path must agree with the object path."""
+    """The counter-level preprocessor path must agree with the oracle."""
 
     def _random_level2(self, rng, rows, cols, density):
         values = rng.choice([-1, 0, 1], size=(rows, cols), p=[density / 2, 1 - density, density / 2])
@@ -343,16 +267,36 @@ class TestCountsFastPath:
 
     @pytest.mark.parametrize("needs_psum", [True, False])
     @pytest.mark.parametrize("density", [0.0, 0.1, 0.6])
-    def test_compress_counts_matches_compress(self, arch, needs_psum, density):
+    def test_compress_counts_matches_compress(self, needs_psum, density):
+        # plan_preprocess is the simulator's compressor: each (M tile,
+        # partition) job must equal the oracle compressing that slice.
+        arch = ArchConfig(tile_m=16, num_patterns=4)
         rng = np.random.default_rng(7)
-        level2 = self._random_level2(rng, 40, 16, density)
-        rows = Compressor(arch).compress(level2, needs_psum=needs_psum)
-        counts = Compressor(arch).compress_counts(level2, needs_psum=needs_psum)
-        assert counts.cycles == rows.cycles
-        assert counts.filtered_rows == rows.filtered_rows
-        assert counts.total_nonzeros == rows.total_nonzeros
-        assert counts.row_ids.tolist() == [row.row_id for row in rows.rows]
-        assert counts.row_nonzeros.tolist() == [row.num_nonzeros for row in rows.rows]
+        activations = (rng.random((40, 48)) < density).astype(np.uint8)
+        layer = LayerWorkload("layer", activations, np.ones((48, 4)))
+        calibration = PhiCalibrator(
+            PhiConfig(partition_size=16, num_patterns=4)
+        ).calibrate_layer("layer", activations)
+        decomposition = decompose_matrix(activations, calibration.pattern_sets, 16)
+        plan = plan_preprocess(arch, calibration, decomposition, layer)
+        jobs = iter(plan.compressed)
+        checked = 0
+        for m_start, m_stop in plan.m_tiles:
+            for p, tile in enumerate(decomposition.tiles):
+                counts = next(jobs)
+                assert counts.needs_psum == (p > 0)
+                if counts.needs_psum != needs_psum:
+                    continue
+                want = oracle.compress(tile.level2[m_start:m_stop], needs_psum=needs_psum)
+                assert counts.cycles == want.cycles
+                assert counts.filtered_rows == want.filtered_rows
+                assert counts.total_nonzeros == want.total_nonzeros
+                assert counts.row_ids.tolist() == [row.row_id for row in want.rows]
+                assert counts.row_nonzeros.tolist() == [
+                    row.num_nonzeros for row in want.rows
+                ]
+                checked += 1
+        assert checked == len(plan.m_tiles) * (2 if needs_psum else 1)
 
     @pytest.mark.parametrize("needs_psum", [True, False])
     @pytest.mark.parametrize("windows", [1, 2, 4])
@@ -362,29 +306,30 @@ class TestCountsFastPath:
         config = ArchConfig(pack_size=pack_size, packer_windows=windows)
         rng = np.random.default_rng(windows * pack_size)
         level2 = self._random_level2(rng, 200, 16, 0.4)
+        compressed = oracle.compress(level2, needs_psum=needs_psum)
+        packed = oracle.pack_rows(config, compressed.rows)
         packer = Packer(config)
-        compressed = Compressor(config).compress(level2, needs_psum=needs_psum)
-        packed = packer.pack_rows(compressed.rows)
-        counts = packer.pack_counts(
-            Compressor(config).compress_counts(level2, needs_psum=needs_psum)
-        )
+        counts = packer.pack_counts(oracle.counts_of(compressed, needs_psum))
         assert counts.num_packs == len(packed.packs)
         assert counts.cycles == packed.cycles
         assert counts.evictions == packed.evictions
         assert counts.weight_units == sum(p.num_weight_units for p in packed.packs)
         assert counts.psum_units == sum(p.num_psum_units for p in packed.packs)
         assert counts.total_units == packed.total_units
+        assert pack_counts_batch([(packer, oracle.counts_of(compressed, needs_psum))]) == [counts]
 
     def test_process_pack_counts_matches_process_packs(self, arch):
+        # The L2 cycles the simulator costs from pack counts equal the
+        # oracle's cycles over the materialised packs, tile by tile.
         rng = np.random.default_rng(11)
-        level2 = self._random_level2(rng, 120, 16, 0.3)
-        compressed = Compressor(arch).compress(level2, needs_psum=True)
-        packed = Packer(arch).pack_rows(compressed.rows)
-        counts = Packer(arch).pack_counts(
-            Compressor(arch).compress_counts(level2, needs_psum=True)
-        )
-        processor = L2Processor(arch)
-        from_packs = processor.process_packs(packed.packs, output_width=32)
-        from_counts = processor.process_pack_counts(counts, output_width=32)
-        assert from_counts == from_packs
-
+        packer = Packer(arch)
+        counts_list = []
+        want = []
+        for rows in (0, 1, 30, 120):
+            level2 = self._random_level2(rng, rows, 16, 0.3)
+            compressed = oracle.compress(level2, needs_psum=True)
+            want.append(
+                oracle.process_packs_cycles(oracle.pack_rows(arch, compressed.rows).packs)
+            )
+            counts_list.append(packer.pack_counts(oracle.counts_of(compressed, True)))
+        assert L2Processor(arch).pack_cycles_for(counts_list).tolist() == want

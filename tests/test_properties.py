@@ -234,7 +234,7 @@ def test_l1_cycles_match_naive_reference(matrix, lanes):
     from repro.hw.l1_processor import L1Processor
 
     arch = ArchConfig(num_channels=lanes, num_patterns=16)
-    result = L1Processor(arch).process_tile(matrix, num_patterns_per_partition=16)
+    result = L1Processor(arch).process_tile(matrix)
 
     group = 16
     expected_cycles = 0
@@ -243,7 +243,9 @@ def test_l1_cycles_match_naive_reference(matrix, lanes):
             nonzeros = int(np.count_nonzero(matrix[row, start : start + group]))
             expected_cycles += 1 if nonzeros == 0 else int(np.ceil(nonzeros / lanes))
     assert result.cycles == expected_cycles
-    assert result.pwp_accumulations == int(np.count_nonzero(matrix))
+    assert result.unique_patterns_used == len(
+        {(c, int(v)) for (_, c), v in np.ndenumerate(matrix) if v}
+    )
 
 
 @settings(max_examples=50, deadline=None)
@@ -274,30 +276,117 @@ def test_distinct_nonzero_per_column_matches_unique(matrix):
     needs_psum=st.booleans(),
 )
 def test_compress_and_pack_conserve_units(level2, needs_psum):
-    """Every Level 2 nonzero (plus psums) lands in exactly one pack unit."""
+    """Every Level 2 nonzero (plus psums) lands in exactly one pack unit.
+
+    The counter-level packer agrees with the object-stream oracle, which
+    places every unit in a pack.
+    """
+    from reference import preprocessor as oracle
+
     from repro.hw.config import ArchConfig
-    from repro.hw.preprocessor import Compressor, Packer
+    from repro.hw.preprocessor import Packer
 
     arch = ArchConfig(num_patterns=16)
-    compressed = Compressor(arch).compress(level2, needs_psum=needs_psum)
+    compressed = oracle.compress(level2, needs_psum=needs_psum)
     nonzero_rows = int(np.count_nonzero(np.count_nonzero(level2, axis=1)))
     assert compressed.filtered_rows == level2.shape[0] - nonzero_rows
     assert compressed.total_nonzeros == int(np.count_nonzero(level2))
 
-    packed = Packer(arch).pack_rows(compressed.rows)
-    total_units = sum(pack.num_units for pack in packed.packs)
+    counts = Packer(arch).pack_counts(oracle.counts_of(compressed, needs_psum))
     expected_psums = nonzero_rows if needs_psum else 0
-    assert total_units == compressed.total_nonzeros + expected_psums
-    weight_units = sum(pack.num_weight_units for pack in packed.packs)
-    psum_units = sum(pack.num_psum_units for pack in packed.packs)
-    assert weight_units == compressed.total_nonzeros
-    assert psum_units == expected_psums
+    assert counts.total_units == compressed.total_nonzeros + expected_psums
+    assert counts.weight_units == compressed.total_nonzeros
+    assert counts.psum_units == expected_psums
+    assert counts.cycles == nonzero_rows
+
+    packed = oracle.pack_rows(arch, compressed.rows)
+    assert counts.num_packs == len(packed.packs)
+    assert counts.total_units == packed.total_units
     assert all(pack.num_units <= arch.pack_size for pack in packed.packs)
     # The packer's conflict avoidance guarantees every psum unit of a pack
     # lands in a distinct bank, so Pack.psum_banks (derived from the unit
     # list) must agree with the packer's own mirrored bank bookkeeping.
     for pack in packed.packs:
         assert len(pack.psum_banks(arch.num_channels)) == pack.num_psum_units
+
+
+pack_jobs = st.lists(
+    st.tuples(
+        st.integers(1, 16),  # pack_size
+        st.integers(1, 4),  # packer_windows
+        st.sampled_from([1, 2, 3, 8, 16, 64]),  # num_channels (psum banks)
+        st.booleans(),  # needs_psum
+        st.integers(0, 80),  # rows
+        st.integers(1, 40),  # Level 2 width: rows can outgrow a pack
+        st.sampled_from([0.0, 0.05, 0.3, 0.9]),  # nonzero density
+        st.integers(0, 2**32 - 1),  # seed
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _random_level2(rows: int, width: int, density: float, seed: int) -> np.ndarray:
+    """A ``{-1, 0, +1}`` Level 2 tile with the given nonzero density."""
+    rng = np.random.default_rng(seed)
+    nonzero = rng.random((rows, width)) < density
+    return np.where(nonzero, rng.choice([-1, 1], size=(rows, width)), 0).astype(np.int8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    jobs=pack_jobs,
+    repeats=st.lists(
+        st.tuples(st.integers(0, 7), st.one_of(st.none(), st.integers(1, 4))),
+        max_size=4,
+    ),
+)
+def test_pack_counts_batch_matches_oracle_pack_rows(jobs, repeats):
+    """The lockstep packer equals the object-stream packer on every job.
+
+    One batch mixes machine configurations and repeats some jobs, either
+    exactly (the dedup path) or under another window count (which must
+    not dedup).  It always carries one job with 65 psum banks, more than
+    a 64-bit bank mask holds (the scalar fallback).
+    """
+    from reference import preprocessor as oracle
+
+    from repro.hw.config import ArchConfig
+    from repro.hw.preprocessor import Packer, pack_counts_batch
+
+    cases = []
+    for pack_size, windows, channels, needs_psum, rows, width, density, seed in jobs:
+        arch = ArchConfig(
+            pack_size=pack_size, packer_windows=windows, num_channels=channels
+        )
+        cases.append((arch, _random_level2(rows, width, density, seed), needs_psum))
+    for i, windows in repeats:
+        arch, level2, needs_psum = cases[i % len(jobs)]
+        if windows is not None:
+            arch = arch.with_overrides(packer_windows=windows)
+        cases.append((arch, level2, needs_psum))
+    # Rows 64, 129, ... all map to psum bank 64 of 65, one bit past a
+    # uint64 mask, so they may never share a pack window.
+    tall = np.zeros((330, 2), dtype=np.int8)
+    tall[64::65, 0] = 1
+    cases.append((ArchConfig(pack_size=8, packer_windows=2, num_channels=65), tall, True))
+
+    compressed = [oracle.compress(level2, needs_psum=psum) for _, level2, psum in cases]
+    batch = pack_counts_batch(
+        [
+            (Packer(arch), oracle.counts_of(rows, psum))
+            for (arch, _, psum), rows in zip(cases, compressed)
+        ]
+    )
+    assert len(batch) == len(cases)
+    for (arch, _, _), rows, got in zip(cases, compressed, batch):
+        want = oracle.pack_rows(arch, rows.rows)
+        assert got.num_packs == len(want.packs)
+        assert got.weight_units == sum(pack.num_weight_units for pack in want.packs)
+        assert got.psum_units == sum(pack.num_psum_units for pack in want.packs)
+        assert got.total_units == want.total_units
+        assert got.cycles == want.cycles
+        assert got.evictions == want.evictions
 
 
 @settings(max_examples=50, deadline=None)
