@@ -14,13 +14,12 @@ from repro.experiments.fig8 import apply_paft_to_workload
 from repro.experiments.fig10 import element_density
 from repro.core.sparsity import decompose_tile
 from repro.hw import ArchConfig
-from repro.hw.preprocessor import CompressedCounts, Packer
+from repro.hw.preprocessor import CompressedCounts, pack_counts_batch
 
 
 def _pack_utilization(workload, scale, windows: int) -> float:
     """Mean per-tile pack occupancy over the largest layer's first M tile."""
     arch = ArchConfig(packer_windows=windows)
-    packer = Packer(arch)
     calibrator = PhiCalibrator(scale.phi_config())
     layer = max(workload, key=lambda l: l.m * l.k)
     calibration = calibrator.calibrate_layer(layer.name, layer.activations)
@@ -34,15 +33,10 @@ def _pack_utilization(workload, scale, windows: int) -> float:
         level2 = decompose_tile(tile, calibration.pattern_sets[p]).level2
         per_row = np.count_nonzero(level2, axis=1)
         kept = np.flatnonzero(per_row)
-        counts = packer.pack_counts(
-            CompressedCounts(
-                row_ids=kept,
-                row_nonzeros=per_row[kept],
-                needs_psum=p > 0,
-                cycles=tile.shape[0],
-                filtered_rows=tile.shape[0] - kept.size,
-            )
+        compressed = CompressedCounts(
+            row_ids=kept, row_nonzeros=per_row[kept], needs_psum=p > 0
         )
+        [counts] = pack_counts_batch([(arch, compressed)])
         if counts.num_packs:
             utilizations.append(counts.total_units / (counts.num_packs * arch.pack_size))
     return float(np.mean(utilizations)) if utilizations else 0.0

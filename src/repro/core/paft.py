@@ -33,7 +33,6 @@ import numpy as np
 
 from .calibration import LayerCalibration, ModelCalibration
 from .patterns import NO_PATTERN
-from .sparsity import decompose_matrix
 
 
 @dataclass(frozen=True)

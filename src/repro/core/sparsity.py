@@ -117,10 +117,6 @@ class TileDecomposition:
             return 0.0
         return float(np.count_nonzero(self.level2 == -1) / self.level2.size)
 
-    def level2_nonzeros_per_row(self) -> np.ndarray:
-        """Number of {+1,-1} corrections in each row."""
-        return np.count_nonzero(self.level2, axis=1)
-
     def compute_output(self, weight_tile: np.ndarray, pwps: np.ndarray | None = None) -> np.ndarray:
         """Compute ``A_tile @ weight_tile`` via the Phi decomposition.
 

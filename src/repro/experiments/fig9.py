@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..analysis.clustering import ClusterStats, cluster_stats, distribution_overlap
 from ..analysis.tsne import TSNEResult, tsne
 from ..core.paft import ActivationAligner

@@ -11,22 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.metrics import (
-    OperationCounts,
-    aggregate_breakdowns,
-    aggregate_operation_counts,
-    operation_counts,
-    sparsity_breakdown,
-)
+from ..core.metrics import OperationCounts
 from ..runner.engine import (
     DECOMPOSITION,
     SweepEngine,
     SweepPoint,
     WorkloadSpec,
-    calibration_for,
     default_engine,
 )
-from ..workloads.workload import ModelWorkload
 from .common import SMALL, ExperimentScale, format_table
 
 
@@ -81,34 +73,6 @@ class Table4Result:
     def formatted(self) -> str:
         """Aligned text rendering."""
         return format_table(self.as_dicts())
-
-
-def analyze_workload(workload: ModelWorkload, scale: ExperimentScale) -> SparsityRow:
-    """Compute one Table 4 row for an arbitrary in-memory workload.
-
-    This is the library path for workloads that cannot be described by a
-    :class:`~repro.runner.WorkloadSpec` (e.g. freshly extracted ones);
-    :func:`run_table4` routes its grid through the sweep engine instead.
-    """
-    calibration = calibration_for(workload, scale.phi_config())
-    breakdowns = []
-    counts = []
-    for layer in workload:
-        decomposition = calibration[layer.name].decompose(layer.activations)
-        breakdowns.append((sparsity_breakdown(decomposition), layer.activations.size))
-        counts.append(operation_counts(decomposition))
-    breakdown = aggregate_breakdowns(breakdowns)
-    totals = aggregate_operation_counts(counts)
-    return SparsityRow(
-        model=workload.model_name,
-        dataset=workload.dataset_name,
-        bit_density=breakdown.bit_density,
-        l1_density=breakdown.level1_density,
-        l2_positive_density=breakdown.level2_positive_density,
-        l2_negative_density=breakdown.level2_negative_density,
-        speedup_over_bit=totals.speedup_over_bit,
-        speedup_over_dense=totals.speedup_over_dense,
-    )
 
 
 def _row_from_record(record: dict) -> SparsityRow:

@@ -47,9 +47,6 @@ ACCUMULATE_ENERGY_PJ = 0.03
 #: Energy of one pattern-match comparison (XOR + popcount on 16 bits).
 MATCH_ENERGY_PJ = 0.008
 
-#: Energy of one LIF neuron update.
-LIF_UPDATE_ENERGY_PJ = 0.05
-
 
 @dataclass(frozen=True)
 class AreaReport:
@@ -152,18 +149,6 @@ class PhiEnergyModel:
             power_w *= self.buffer_scale
         seconds = busy_cycles / self.config.frequency_hz
         return power_w * seconds
-
-    def accumulate_energy(self, num_accumulations: int) -> float:
-        """Energy (J) of scalar accumulate operations."""
-        return num_accumulations * ACCUMULATE_ENERGY_PJ * 1e-12
-
-    def match_energy(self, num_matches: int) -> float:
-        """Energy (J) of pattern-match comparisons."""
-        return num_matches * MATCH_ENERGY_PJ * 1e-12
-
-    def lif_energy(self, num_updates: int) -> float:
-        """Energy (J) of LIF membrane updates."""
-        return num_updates * LIF_UPDATE_ENERGY_PJ * 1e-12
 
     def buffer_energy(self, bytes_accessed: float) -> float:
         """Energy (J) of on-chip buffer traffic."""

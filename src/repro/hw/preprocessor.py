@@ -17,10 +17,9 @@ one row per cycle, the packer one compressed row per cycle, and the L2
 processor one pack per cycle.  So a compressed tile is a
 :class:`CompressedCounts` (the surviving rows' ids and nonzero counts,
 built by :func:`~repro.hw.simulator.plan_preprocess`) and a packed tile
-a :class:`PackCounts`.  The packer runs its window-placement machine on
-those counts, one tile at a time (:meth:`Packer.pack_counts`) or many
-tiles in NumPy lockstep (:func:`pack_counts_batch`).  Tests check both
-against the object-stream preprocessor kept in
+a :class:`PackCounts`.  :func:`pack_counts_batch` runs the packer's
+window-placement machine on those counts, many tiles at once in NumPy
+lockstep.  Tests check it against the object-stream preprocessor kept in
 ``tests/reference/preprocessor.py``, which builds every unit and pack.
 """
 
@@ -39,14 +38,12 @@ class CompressedCounts:
 
     Carries exactly the quantities the cycle model consumes — per-row
     nonzero counts and row ids of the surviving (nonzero) rows — and is
-    consumed by :meth:`Packer.pack_counts` and :func:`pack_counts_batch`.
+    consumed by :func:`pack_counts_batch`.
     """
 
     row_ids: np.ndarray
     row_nonzeros: np.ndarray
     needs_psum: bool
-    cycles: int
-    filtered_rows: int
 
     @property
     def total_nonzeros(self) -> int:
@@ -91,98 +88,15 @@ EMPTY_PACK_COUNTS = PackCounts(
 )
 
 
-class Packer:
-    """Place compressed rows into fixed-size packs, avoiding bank conflicts.
-
-    The packer keeps ``packer_windows`` open packs.  An incoming row goes
-    to a window that (a) has enough free units and (b) whose existing
-    partial-sum banks do not conflict with the row's bank.  When no window
-    qualifies, the most-filled window is evicted to the pack buffer.
-    """
-
-    def __init__(self, config: ArchConfig) -> None:
-        self.config = config
-        self.num_banks = config.num_channels
-
-    def pack_counts(self, compressed: CompressedCounts) -> PackCounts:
-        """Place one tile's compressed rows; return its pack and unit totals.
-
-        A row contributes its nonzeros plus, when ``needs_psum``, one
-        partial-sum unit, which is always its last unit.  A row wider
-        than a pack splits into ``pack_size`` chunks and only its last
-        chunk claims a psum bank.  The algorithm runs on plain integers;
-        it is property-tested against the object-stream packer that
-        places every unit.
-        """
-        capacity = self.config.pack_size
-        num_windows = self.config.packer_windows
-        num_banks = self.num_banks
-        needs_psum = compressed.needs_psum
-        used = [0] * num_windows
-        banks: list[set[int]] = [set() for _ in range(num_windows)]
-        window_range = range(num_windows)
-        finished = 0
-        evictions = 0
-        cycles = 0
-
-        for row_id, nnz in zip(
-            compressed.row_ids.tolist(), compressed.row_nonzeros.tolist()
-        ):
-            cycles += 1
-            total_units = nnz + 1 if needs_psum else nnz
-            row_bank = row_id % num_banks
-            if total_units <= capacity:  # the common, unsplit case
-                full_chunks = 0
-                last_chunk = total_units
-            else:
-                full_chunks, last_chunk = divmod(total_units, capacity)
-                if last_chunk == 0:
-                    full_chunks -= 1
-                    last_chunk = capacity
-            for chunk in range(full_chunks + 1):
-                num_units = capacity if chunk < full_chunks else last_chunk
-                has_psum = needs_psum and chunk == full_chunks
-                target = -1
-                for i in window_range:
-                    if capacity - used[i] < num_units:
-                        continue
-                    if needs_psum and row_bank in banks[i]:
-                        continue
-                    target = i
-                    break
-                if target < 0:
-                    victim = max(window_range, key=used.__getitem__)
-                    if used[victim]:
-                        finished += 1
-                        evictions += 1
-                    used[victim] = 0
-                    banks[victim] = set()
-                    target = victim
-                used[target] += num_units
-                if has_psum:
-                    banks[target].add(row_bank)
-
-        finished += sum(1 for occupancy in used if occupancy)
-        kept_rows = int(compressed.row_ids.size)
-        return PackCounts(
-            num_packs=finished,
-            weight_units=compressed.total_nonzeros,
-            psum_units=kept_rows if needs_psum else 0,
-            cycles=cycles,
-            evictions=evictions,
-        )
-
-
 # --------------------------------------------------------------------- #
 # Batched packing: many independent tile machines in one lockstep pass
 # --------------------------------------------------------------------- #
-def _pack_job_key(packer: Packer, compressed: CompressedCounts) -> tuple:
+def _pack_job_key(config: ArchConfig, compressed: CompressedCounts) -> tuple:
     """Dedup key: two jobs with equal keys produce equal :class:`PackCounts`."""
-    config = packer.config
     return (
         config.pack_size,
         config.packer_windows,
-        packer.num_banks,
+        config.num_channels,
         bool(compressed.needs_psum),
         compressed.row_ids.dtype.str,
         compressed.row_ids.tobytes(),
@@ -198,11 +112,12 @@ def _pack_counts_lockstep(
 
     Every tile's window-placement machine is independent, so a batch of
     them advances one compressed-row *chunk* per step on ``(B, W)`` state
-    arrays — occupancy integers and per-window psum-bank bitmasks — with
-    ``np.argmax`` reproducing the scalar first-fit scan and the
-    first-max eviction tie-break exactly.  Jobs are sorted by descending
-    chunk count so each step only touches the still-active prefix; total
-    work is proportional to the number of chunks, not ``B x max_steps``.
+    arrays — occupancy integers and per-window psum-bank bitmasks of
+    ``ceil(num_banks / 64)`` ``uint64`` words — with ``np.argmax``
+    reproducing the first-fit scan and the first-max eviction tie-break.
+    Jobs are sorted by descending chunk count so each step only touches
+    the still-active prefix; total work is proportional to the number of
+    chunks, not ``B x max_steps``.
     """
     B = len(batch)
     row_counts = np.array([c.row_ids.size for c in batch], dtype=np.int64)
@@ -218,9 +133,9 @@ def _pack_counts_lockstep(
     )
     row_needs = needs[row_job]
 
-    # Chunk expansion (rows wider than a pack split across several packs,
-    # exactly as in the scalar path): every row yields at least one chunk;
-    # all but the last carry ``capacity`` units.
+    # Chunk expansion: a row wider than a pack splits into chunks of
+    # ``capacity`` units plus a last one, and only the last chunk carries
+    # the row's psum unit.  Every row yields at least one chunk.
     total_units = nnz + row_needs
     n_chunks = np.maximum((total_units + capacity - 1) // capacity, 1)
     chunk_job = np.repeat(row_job, n_chunks)
@@ -243,20 +158,23 @@ def _pack_counts_lockstep(
     steps_desc = steps[order]
     max_steps = int(steps_desc[0])
 
-    # Dense (B, S) chunk schedules in sorted-job order.
+    # Dense (B, S) chunk schedules in sorted-job order; a chunk's bank
+    # bit is bit ``bank % 64`` of word ``bank // 64``.
+    num_words = -(-num_banks // 64)
     job_start = np.zeros(B, dtype=np.int64)
     np.cumsum(steps[:-1], out=job_start[1:])
     sorted_job = rank[chunk_job]
     slot = np.arange(num_chunks) - job_start[chunk_job]
     unit_mat = np.zeros((B, max_steps), dtype=np.int64)
     unit_mat[sorted_job, slot] = units
-    bit_mat = np.zeros((B, max_steps), dtype=np.uint64)
-    bit_mat[sorted_job, slot] = np.uint64(1) << bank.astype(np.uint64)
+    chunk_bit = np.uint64(1) << (bank % 64).astype(np.uint64)
+    bit_mat = np.zeros((B, max_steps, num_words), dtype=np.uint64)
+    bit_mat[sorted_job, slot, bank // 64] = chunk_bit
     psum_mat = np.zeros((B, max_steps), dtype=bool)
     psum_mat[sorted_job, slot] = has_psum
 
     used = np.zeros((B, num_windows), dtype=np.int64)
-    bankmask = np.zeros((B, num_windows), dtype=np.uint64)
+    bankmask = np.zeros((B, num_windows, num_words), dtype=np.uint64)
     finished = np.zeros(B, dtype=np.int64)
     evictions = np.zeros(B, dtype=np.int64)
     needs_desc = needs[order][:, None]
@@ -267,9 +185,8 @@ def _pack_counts_lockstep(
         u = unit_mat[:n, s]
         bit = bit_mat[:n, s]
         used_n = used[:n]
-        ok = ((capacity - used_n) >= u[:, None]) & ~(
-            needs_desc[:n] & ((bankmask[:n] & bit[:, None]) != zero)
-        )
+        conflict = ((bankmask[:n] & bit[:, None, :]) != zero).any(axis=2)
+        ok = ((capacity - used_n) >= u[:, None]) & ~(needs_desc[:n] & conflict)
         target = np.argmax(ok, axis=1)
         misfit = ~ok.any(axis=1)
         if misfit.any():
@@ -302,21 +219,30 @@ def _pack_counts_lockstep(
 
 
 def pack_counts_batch(
-    jobs: "list[tuple[Packer, CompressedCounts]]",
+    jobs: "list[tuple[ArchConfig, CompressedCounts]]",
 ) -> list[PackCounts]:
-    """Batched :meth:`Packer.pack_counts` over many independent tiles.
+    """Place many tiles' compressed rows into packs, avoiding bank conflicts.
+
+    The packer keeps ``packer_windows`` open packs of ``pack_size``
+    units.  Each compressed row contributes its nonzeros plus, when
+    ``needs_psum``, one partial-sum unit in bank ``row_id % num_channels``.
+    It goes to the first window that has enough free units and holds no
+    partial sum of the same bank; when no window qualifies, the
+    most-filled window is evicted to the pack buffer.  A row wider than a
+    pack splits into ``pack_size`` chunks and only its last chunk claims
+    a psum bank.
 
     Parameters
     ----------
     jobs:
-        ``(packer, compressed)`` pairs — one per tile, possibly from
-        different :class:`Packer` configurations (a cross-point batch).
+        ``(config, compressed)`` pairs — one per tile, possibly from
+        different :class:`ArchConfig` values (a cross-point batch).
 
     Returns
     -------
     list of PackCounts
-        One result per job, in input order, each bit-identical to
-        ``packer.pack_counts(compressed)`` (property-tested).
+        One result per job, in input order, each equal to the
+        object-stream packer's counts on that tile (property-tested).
 
     Notes
     -----
@@ -324,30 +250,22 @@ def pack_counts_batch(
     the same workload simulated under several buffer scalings) are packed
     once and the result shared.  Distinct jobs are grouped by machine
     parameters and advanced in NumPy lockstep
-    (:func:`_pack_counts_lockstep`); configurations whose bank count
-    exceeds a 64-bit bitmask (``ArchConfig`` accepts any
-    ``num_channels``) fall back to the scalar machine.
+    (:func:`_pack_counts_lockstep`), whatever their bank count.
     """
     results: list[PackCounts | None] = [None] * len(jobs)
     canonical: dict[tuple, int] = {}
     duplicates: list[tuple[int, int]] = []
     groups: dict[tuple[int, int, int], list[int]] = {}
-    for j, (packer, compressed) in enumerate(jobs):
-        key = _pack_job_key(packer, compressed)
+    for j, (config, compressed) in enumerate(jobs):
+        key = _pack_job_key(config, compressed)
         first = canonical.setdefault(key, j)
         if first != j:
             duplicates.append((j, first))
             continue
-        config = packer.config
-        params = (config.pack_size, config.packer_windows, packer.num_banks)
+        params = (config.pack_size, config.packer_windows, config.num_channels)
         groups.setdefault(params, []).append(j)
 
     for (capacity, num_windows, num_banks), members in groups.items():
-        if num_banks > 64:
-            for j in members:
-                packer, compressed = jobs[j]
-                results[j] = packer.pack_counts(compressed)
-            continue
         batch = [jobs[j][1] for j in members]
         for j, counts in zip(members, _pack_counts_lockstep(
             batch, capacity, num_windows, num_banks

@@ -64,7 +64,6 @@ from .preprocessor import (
     EMPTY_PACK_COUNTS,
     CompressedCounts,
     PackCounts,
-    Packer,
     pack_counts_batch,
 )
 
@@ -146,7 +145,6 @@ def plan_preprocess(
     ]
     compressed: list[CompressedCounts] = []
     for m_start, m_stop in m_tiles:
-        rows = m_stop - m_start
         for p in range(len(boundaries)):
             counts = nnz_per_row[p][m_start:m_stop]
             kept = np.flatnonzero(counts)
@@ -155,8 +153,6 @@ def plan_preprocess(
                     row_ids=kept,
                     row_nonzeros=counts[kept],
                     needs_psum=p > 0,
-                    cycles=rows,
-                    filtered_rows=rows - int(kept.size),
                 )
             )
     return PreprocessPlan(
@@ -447,7 +443,6 @@ class PhiSimulator(AcceleratorModel):
                 f"({self.phi_config.partition_size} != {self.arch.tile_k})"
             )
         self.energy_model = energy_model or PhiEnergyModel(self.arch)
-        self.packer = Packer(self.arch)
         self.l1 = L1Processor(self.arch)
         self.l2 = L2Processor(self.arch)
         self.neuron_array = SpikingNeuronArray(self.arch)
@@ -671,7 +666,7 @@ def simulate_phi_many(
             )
             ctx.scratch["preprocess_plan"] = plan
             start = len(jobs)
-            jobs.extend((simulator.packer, compressed) for compressed in plan.compressed)
+            jobs.extend((simulator.arch, compressed) for compressed in plan.compressed)
             contexts.append((ctx, start, len(jobs)))
         prepared.append((simulator, result, contexts))
 

@@ -110,22 +110,6 @@ class Embedding(Layer):
         self.weight_grad[...] = 0.0
 
 
-class TokensToSequence(Layer):
-    """Reshape a flattened ``(B*T_tok, D)`` tensor back to ``(B, T_tok, D)``."""
-
-    def __init__(self, tokens: int, *, name: str = "to_sequence") -> None:
-        super().__init__(name)
-        self.tokens = tokens
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return x.reshape(-1, self.tokens, x.shape[-1])
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad = np.asarray(grad_output, dtype=np.float64)
-        return grad.reshape(-1, grad.shape[-1])
-
-
 class SequencePool(Layer):
     """Mean-pool a ``(B, T_tok, D)`` sequence over the token dimension."""
 

@@ -169,10 +169,6 @@ class SpikingNetwork:
         self._recording = False
         return self._records
 
-    def get_records(self) -> dict[str, ActivationRecord]:
-        """Records gathered since :meth:`start_recording`."""
-        return self._records
-
     def _capture(self) -> None:
         for layer in self.matmul_layers():
             record = self._records[layer.name]
@@ -269,8 +265,3 @@ class SpikingNetwork:
     def firing_rates(self) -> dict[str, float]:
         """Average firing rate per spiking layer since the last reset."""
         return {l.name: l.record.firing_rate for l in self.lif_layers()}
-
-    def reset_firing_records(self) -> None:
-        """Clear per-layer spike statistics."""
-        for layer in self.lif_layers():
-            layer.reset_record()

@@ -59,11 +59,6 @@ class LIFNeuron:
         """Current membrane potential (None before the first step)."""
         return self._membrane
 
-    @property
-    def last_pre_reset_membrane(self) -> np.ndarray | None:
-        """Membrane potential just before the last reset (for surrogates)."""
-        return self._last_pre_reset
-
     def reset_state(self) -> None:
         """Clear the membrane state (call between input samples)."""
         self._membrane = None

@@ -11,6 +11,6 @@ bit for bit.  ``src/`` never imports from here.
   (``repro.core.sparsity`` matches each distinct row once);
 * ``preprocessor`` — the object-stream compressor, packer and L2 pack
   costing (``repro.hw`` runs per-row counters: ``plan_preprocess``,
-  ``Packer.pack_counts``, ``pack_counts_batch`` and
-  ``L2Processor.pack_cycles_for``).
+  ``pack_counts_batch``, whose NumPy lockstep machine keeps a multi-word
+  bank mask per window, and ``L2Processor.pack_cycles_for``).
 """

@@ -6,7 +6,7 @@ compressor emits one :class:`CompressedRow` per nonzero Level 2 row, the
 packer places every row's :class:`PackUnit` objects into
 :class:`Pack` windows, and the L2 processor costs one cycle per pack plus
 a pipeline drain.  Tests check the counter-level path the simulator runs
-(``CompressedCounts``, ``Packer.pack_counts``, ``pack_counts_batch`` and
+(``CompressedCounts``, ``pack_counts_batch`` and
 ``L2Processor.pack_cycles_for``) against it.
 """
 
@@ -192,8 +192,6 @@ def counts_of(compressed: CompressorResult, needs_psum: bool) -> CompressedCount
             [row.num_nonzeros for row in compressed.rows], dtype=np.int64
         ),
         needs_psum=needs_psum,
-        cycles=compressed.cycles,
-        filtered_rows=compressed.filtered_rows,
     )
 
 

@@ -26,7 +26,7 @@ from reference import preprocessor as oracle
 from repro.experiments.common import TINY
 from repro.hw.config import ArchConfig
 from repro.hw.l2_processor import L2Processor
-from repro.hw.preprocessor import Packer
+from repro.hw.preprocessor import pack_counts_batch
 from repro.runner import (
     ArtifactStore,
     ResultCache,
@@ -57,15 +57,14 @@ level2_tiles = st.lists(
 def test_pack_cycles_for_matches_scalar_path(tiles, needs_psum):
     """``pack_cycles_for`` element i == the oracle's L2 cycles for tile i."""
     arch = ArchConfig()
-    counts_list = []
+    jobs = []
     expected = []
     for level2 in tiles:
         compressed = oracle.compress(level2, needs_psum=needs_psum)
         packs = oracle.pack_rows(arch, compressed.rows).packs
         expected.append(oracle.process_packs_cycles(packs))
-        counts_list.append(
-            Packer(arch).pack_counts(oracle.counts_of(compressed, needs_psum))
-        )
+        jobs.append((arch, oracle.counts_of(compressed, needs_psum)))
+    counts_list = pack_counts_batch(jobs)
     batched = L2Processor(arch).pack_cycles_for(counts_list)
     assert batched.dtype == np.int64
     assert batched.shape == (len(tiles),)

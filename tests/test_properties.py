@@ -284,7 +284,7 @@ def test_compress_and_pack_conserve_units(level2, needs_psum):
     from reference import preprocessor as oracle
 
     from repro.hw.config import ArchConfig
-    from repro.hw.preprocessor import Packer
+    from repro.hw.preprocessor import pack_counts_batch
 
     arch = ArchConfig(num_patterns=16)
     compressed = oracle.compress(level2, needs_psum=needs_psum)
@@ -292,7 +292,7 @@ def test_compress_and_pack_conserve_units(level2, needs_psum):
     assert compressed.filtered_rows == level2.shape[0] - nonzero_rows
     assert compressed.total_nonzeros == int(np.count_nonzero(level2))
 
-    counts = Packer(arch).pack_counts(oracle.counts_of(compressed, needs_psum))
+    [counts] = pack_counts_batch([(arch, oracle.counts_of(compressed, needs_psum))])
     expected_psums = nonzero_rows if needs_psum else 0
     assert counts.total_units == compressed.total_nonzeros + expected_psums
     assert counts.weight_units == compressed.total_nonzeros
@@ -314,7 +314,8 @@ pack_jobs = st.lists(
     st.tuples(
         st.integers(1, 16),  # pack_size
         st.integers(1, 4),  # packer_windows
-        st.sampled_from([1, 2, 3, 8, 16, 64]),  # num_channels (psum banks)
+        # num_channels (psum banks): one, two and three mask words
+        st.sampled_from([1, 2, 3, 8, 16, 64, 65, 128, 129, 200]),
         st.booleans(),  # needs_psum
         st.integers(0, 80),  # rows
         st.integers(1, 40),  # Level 2 width: rows can outgrow a pack
@@ -346,13 +347,13 @@ def test_pack_counts_batch_matches_oracle_pack_rows(jobs, repeats):
 
     One batch mixes machine configurations and repeats some jobs, either
     exactly (the dedup path) or under another window count (which must
-    not dedup).  It always carries one job with 65 psum banks, more than
-    a 64-bit bank mask holds (the scalar fallback).
+    not dedup).  It always carries jobs with 65 and 129 psum banks, whose
+    bank masks span two and three 64-bit words.
     """
     from reference import preprocessor as oracle
 
     from repro.hw.config import ArchConfig
-    from repro.hw.preprocessor import Packer, pack_counts_batch
+    from repro.hw.preprocessor import pack_counts_batch
 
     cases = []
     for pack_size, windows, channels, needs_psum, rows, width, density, seed in jobs:
@@ -365,16 +366,22 @@ def test_pack_counts_batch_matches_oracle_pack_rows(jobs, repeats):
         if windows is not None:
             arch = arch.with_overrides(packer_windows=windows)
         cases.append((arch, level2, needs_psum))
-    # Rows 64, 129, ... all map to psum bank 64 of 65, one bit past a
-    # uint64 mask, so they may never share a pack window.
-    tall = np.zeros((330, 2), dtype=np.int8)
-    tall[64::65, 0] = 1
-    cases.append((ArchConfig(pack_size=8, packer_windows=2, num_channels=65), tall, True))
+    # Bank 64 of 65 is bit 0 of the second bank-mask word, and bank 128
+    # of 129 bit 0 of the third.  These jobs' rows hit bit 0 of every
+    # word twice in a row, then once each: a one-window packer must evict
+    # on each repeat and only there, whichever word the bank is in.
+    for channels in (65, 129):
+        banks = np.arange(0, channels, 64)
+        sequence = np.concatenate([np.repeat(banks, 2), banks])
+        tall = np.zeros((channels * sequence.size, 2), dtype=np.int8)
+        tall[np.arange(sequence.size) * channels + sequence, 0] = 1
+        arch = ArchConfig(pack_size=16, packer_windows=1, num_channels=channels)
+        cases.append((arch, tall, True))
 
     compressed = [oracle.compress(level2, needs_psum=psum) for _, level2, psum in cases]
     batch = pack_counts_batch(
         [
-            (Packer(arch), oracle.counts_of(rows, psum))
+            (arch, oracle.counts_of(rows, psum))
             for (arch, _, psum), rows in zip(cases, compressed)
         ]
     )
