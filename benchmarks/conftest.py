@@ -10,6 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.common import PAPER, ExperimentScale
+from repro.experiments.registry import get_experiment
+from repro.report.emitters import build_payload, section_markdown
 
 #: Scale used by the benchmark suite: the default (SMALL) experiment scale,
 #: which is large enough for the paper's qualitative results to emerge on
@@ -45,3 +47,9 @@ def scale(request) -> ExperimentScale:
 def run_once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def print_section(name: str, result) -> None:
+    """Print a harness result as its ``REPRODUCTION.md`` section."""
+    spec = get_experiment(name)
+    print(section_markdown(spec, build_payload(spec, result)))

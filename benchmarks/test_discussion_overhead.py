@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import run_once
+from conftest import print_section, run_once
 
 pytestmark = pytest.mark.smoke
 
@@ -18,8 +18,7 @@ WORKLOADS = (
 def test_discussion_preprocessing_overhead(benchmark, scale):
     result = run_once(benchmark, run_discussion, scale, workloads=WORKLOADS)
 
-    print("\n=== Section 6.1: preprocessing benefit / cost ===")
-    print(result.formatted())
+    print_section("discussion", result)
     print(f"\n  average benefit/cost ratio: {result.average_ratio():.1f}x")
 
     # Preprocessing pays for itself many times over on every workload.

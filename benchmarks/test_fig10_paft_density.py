@@ -1,6 +1,6 @@
 """Benchmark: Fig. 10 — element (Level 2) density with and without PAFT."""
 
-from conftest import run_once
+from conftest import print_section, run_once
 
 from repro.experiments import run_fig10
 
@@ -15,8 +15,7 @@ WORKLOADS = (
 def test_fig10_element_density(benchmark, scale):
     result = run_once(benchmark, run_fig10, scale, workloads=WORKLOADS)
 
-    print("\n=== Fig. 10: element density with / without PAFT ===")
-    print(result.formatted())
+    print_section("fig10", result)
 
     for pair in result.pairs:
         assert pair.density_with_paft <= pair.density_without_paft

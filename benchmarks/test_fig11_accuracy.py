@@ -2,7 +2,7 @@
 
 import math
 
-from conftest import run_once
+from conftest import print_section, run_once
 
 from repro.experiments import run_fig11
 
@@ -16,8 +16,7 @@ def test_fig11_accuracy(benchmark, scale):
         train_epochs=2,
     )
 
-    print("\n=== Fig. 11: accuracy comparison ===")
-    print(result.formatted())
+    print_section("fig11", result)
 
     for row in result.rows:
         # Phi without PAFT is lossless: verified exactly at the logit level.

@@ -1,6 +1,6 @@
 """Benchmark: Fig. 12 — memory-traffic reduction (compression + prefetch)."""
 
-from conftest import run_once
+from conftest import print_section, run_once
 
 from repro.experiments import run_fig12
 
@@ -15,8 +15,7 @@ WORKLOADS = (
 def test_fig12_memory_traffic(benchmark, scale):
     result = run_once(benchmark, run_fig12, scale, workloads=WORKLOADS)
 
-    print("\n=== Fig. 12: activation and weight DRAM traffic (bytes) ===")
-    print(result.formatted())
+    print_section("fig12", result)
     without, with_prefetch = result.geomean_weight_ratios()
     print(
         f"\n  geomean activation traffic vs dense: {result.geomean_activation_ratio():.2f}x"

@@ -1,9 +1,8 @@
 """Benchmark: Fig. 8 — speedup and energy across the model zoo."""
 
-from conftest import run_once
+from conftest import print_section, run_once
 
 from repro.experiments import run_fig8
-from repro.experiments.fig8 import ACCELERATORS
 
 WORKLOADS = (
     ("vgg16", "cifar100"),
@@ -18,18 +17,9 @@ WORKLOADS = (
 def test_fig8_speedup_and_energy(benchmark, scale):
     result = run_once(benchmark, run_fig8, scale, workloads=WORKLOADS)
 
-    print("\n=== Fig. 8: speedup normalised to Spiking Eyeriss ===")
-    print(result.formatted())
-    print("\n=== Fig. 8: energy normalised to Phi (w/o PAFT) ===")
-    for comparison in result.comparisons:
-        energy = "  ".join(
-            f"{name}={comparison.energy[name]:.2f}" for name in ACCELERATORS
-        )
-        print(f"  {comparison.key:<24} {energy}")
+    print_section("fig8", result)
     geo_speed = result.geomean_speedup()
     geo_energy = result.geomean_energy()
-    print("\n  geomean speedup:", {k: round(v, 2) for k, v in geo_speed.items()})
-    print("  geomean energy :", {k: round(v, 2) for k, v in geo_energy.items()})
 
     # Shape of the paper's Fig. 8:
     # 1. every sparse accelerator beats the dense baseline;

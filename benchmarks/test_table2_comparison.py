@@ -1,6 +1,6 @@
 """Benchmark: Table 2 — Phi vs baseline accelerators on VGG-16 / CIFAR100."""
 
-from conftest import run_once
+from conftest import print_section, run_once
 
 from repro.experiments import run_table2
 
@@ -8,8 +8,7 @@ from repro.experiments import run_table2
 def test_table2_comparison(benchmark, scale):
     result = run_once(benchmark, run_table2, scale)
 
-    print("\n=== Table 2: comparison of Phi with baselines (VGG16 / CIFAR100) ===")
-    print(result.formatted())
+    print_section("table2", result)
 
     phi = result.row("phi")
     eyeriss = result.row("eyeriss")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import run_once
+from conftest import print_section, run_once
 
 pytestmark = pytest.mark.smoke
 
@@ -12,8 +12,7 @@ from repro.experiments import run_table3
 def test_table3_breakdown(benchmark):
     result = run_once(benchmark, run_table3)
 
-    print("\n=== Table 3: Phi area and power breakdown ===")
-    print(result.formatted())
+    print_section("table3", result)
 
     assert abs(result.total_area_mm2 - 0.663) < 0.01
     assert abs(result.total_power_mw - 346.5) < 1.0

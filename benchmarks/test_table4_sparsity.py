@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import run_once
+from conftest import print_section, run_once
 
 pytestmark = pytest.mark.smoke
 
@@ -12,8 +12,7 @@ from repro.experiments import run_table4
 def test_table4_sparsity_breakdown(benchmark, scale):
     result = run_once(benchmark, run_table4, scale)
 
-    print("\n=== Table 4: Phi sparsity breakdown ===")
-    print(result.formatted())
+    print_section("table4", result)
 
     snn_rows = [r for r in result.rows if r.dataset != "random"]
     random_rows = [r for r in result.rows if r.dataset == "random"]

@@ -4,9 +4,14 @@ The bench subsystem times the canonical sweep scenarios — serial cold,
 parallel cold, cold result cache with a warm artifact store, and fully
 warm — in isolated subprocesses with scenario-controlled cache/store
 directories, and appends machine-readable entries to ``BENCH_sweep.json``
-so performance wins (and regressions) are tracked across commits.  CI
-runs the TINY scenarios and fails when the serial wall time regresses
-more than 2x against the committed ``benchmarks/bench_baseline.json``.
+so performance wins (and regressions) are tracked across commits.  Each
+scenario's point counts and sweep time are parsed from the footer line
+``python -m repro.runner`` prints after the experiment's report section.
+
+There is one regression gate, ``python -m repro.bench compare``: it
+fails when any scenario's latest wall time in the trajectory exceeds 2x
+its entry in the committed ``benchmarks/bench_baseline.json``.  CI runs
+the TINY scenarios, then that gate.
 """
 
 from .cli import (
@@ -15,7 +20,6 @@ from .cli import (
     SCENARIOS,
     BenchResult,
     append_results,
-    check_against_baseline,
     main,
     run_scenario,
 )
@@ -26,7 +30,6 @@ __all__ = [
     "DEFAULT_OUTPUT",
     "SCENARIOS",
     "append_results",
-    "check_against_baseline",
     "main",
     "run_scenario",
 ]

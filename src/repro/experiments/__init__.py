@@ -5,7 +5,7 @@ harness with the paper artifact it reproduces; the report pipeline
 (:mod:`repro.report`) runs any subset of it and emits ``REPRODUCTION.md``.
 """
 
-from .common import PAPER, SMALL, TINY, ExperimentScale, format_table, get_workload
+from .common import PAPER, SMALL, TINY, ExperimentScale, get_workload
 from .registry import (
     REGISTRY,
     SCALES,
@@ -15,23 +15,22 @@ from .registry import (
     registry_markdown_table,
     resolve_scale,
 )
-from .discussion import DiscussionResult, run_discussion
-from .fig1 import Fig1Result, run_fig1
+from .discussion import run_discussion
+from .fig1 import run_fig1
 from .fig7 import (
-    Fig7Result,
     run_fig7,
     run_fig7_buffer_sweep,
     run_fig7_pattern_sweep,
     run_fig7_tile_sweep,
 )
-from .fig8 import Fig8Result, apply_paft_to_workload, compare_workload, run_fig8
-from .fig9 import Fig9Result, run_fig9
-from .fig10 import Fig10Result, run_fig10
-from .fig11 import Fig11Result, evaluate_model_accuracy, run_fig11
-from .fig12 import Fig12Result, run_fig12
-from .table2 import Table2Result, run_table2
-from .table3 import Table3Result, run_table3
-from .table4 import Table4Result, run_table4
+from .fig8 import run_fig8
+from .fig9 import run_fig9
+from .fig10 import run_fig10
+from .fig11 import run_fig11
+from .fig12 import run_fig12
+from .table2 import run_table2
+from .table3 import run_table3
+from .table4 import run_table4
 
 __all__ = [
     "ExperimentScale",
@@ -46,33 +45,18 @@ __all__ = [
     "registry_markdown_table",
     "resolve_scale",
     "get_workload",
-    "format_table",
     "run_table2",
-    "Table2Result",
     "run_table3",
-    "Table3Result",
     "run_table4",
-    "Table4Result",
     "run_fig1",
-    "Fig1Result",
     "run_fig7",
     "run_fig7_tile_sweep",
     "run_fig7_pattern_sweep",
     "run_fig7_buffer_sweep",
-    "Fig7Result",
     "run_fig8",
-    "Fig8Result",
-    "compare_workload",
-    "apply_paft_to_workload",
     "run_fig9",
-    "Fig9Result",
     "run_fig10",
-    "Fig10Result",
     "run_fig11",
-    "Fig11Result",
-    "evaluate_model_accuracy",
     "run_fig12",
-    "Fig12Result",
     "run_discussion",
-    "DiscussionResult",
 ]

@@ -1,4 +1,4 @@
-"""Shared experiment infrastructure: scales, caching, formatting.
+"""Shared experiment infrastructure: scales and caching.
 
 Every experiment harness accepts an :class:`ExperimentScale` so the same
 code runs as a quick smoke test (``TINY``), as the default benchmark
@@ -174,23 +174,3 @@ def calibrate_workload(
     """
     return calibration_for(workload, scale.phi_config())
 
-
-def format_table(rows: list[dict], columns: list[str] | None = None) -> str:
-    """Render a list of dictionaries as an aligned text table."""
-    if not rows:
-        return "(empty table)"
-    columns = columns or list(rows[0].keys())
-    widths = {c: max(len(c), *(len(_fmt(r.get(c))) for r in rows)) for c in columns}
-    header = "  ".join(c.ljust(widths[c]) for c in columns)
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append("  ".join(_fmt(row.get(c)).ljust(widths[c]) for c in columns))
-    return "\n".join(lines)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.3f}" if abs(value) < 1000 else f"{value:.1f}"
-    return str(value)

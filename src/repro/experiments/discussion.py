@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 from ..baselines.base import BUFFER_BYTES_PER_ACCUMULATION
 from ..hw.energy import ACCUMULATE_ENERGY_PJ, BUFFER_ENERGY_PER_BYTE_PJ, MATCH_ENERGY_PJ
-from ..runner.engine import SweepEngine, SweepPoint, default_engine
-from .common import SMALL, ExperimentScale, format_table
+from ..runner.engine import SweepEngine, SweepPoint
+from .common import SMALL, ExperimentScale
 
 #: Model/dataset pairs used for the preprocessing cost analysis.
 DISCUSSION_WORKLOADS: tuple[tuple[str, str], ...] = (
@@ -53,19 +53,6 @@ class DiscussionResult:
         ratios = [r.benefit_cost_ratio for r in self.rows]
         return sum(ratios) / len(ratios) if ratios else 0.0
 
-    def formatted(self) -> str:
-        """Aligned text rendering."""
-        rows = [
-            {
-                "workload": f"{r.model}/{r.dataset}",
-                "preproc_energy_J": r.preprocessing_energy,
-                "saved_energy_J": r.saved_accumulation_energy,
-                "benefit_cost": r.benefit_cost_ratio,
-            }
-            for r in self.rows
-        ]
-        return format_table(rows)
-
 
 def run_discussion(
     scale: ExperimentScale = SMALL,
@@ -91,7 +78,7 @@ def run_discussion(
         One :class:`OverheadRow` per workload, computed from the
         simulator's per-layer activity counters in the sweep records.
     """
-    engine = engine or default_engine()
+    engine = engine or SweepEngine()
     points = [
         SweepPoint(
             workload=scale.workload_spec(model_name, dataset_name),

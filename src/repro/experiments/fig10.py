@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..core.metrics import aggregate_breakdowns, sparsity_breakdown
-from ..runner.engine import DECOMPOSITION, SweepEngine, SweepPoint, default_engine
+from ..runner.engine import DECOMPOSITION, SweepEngine, SweepPoint
 from ..workloads.workload import ModelWorkload
-from .common import SMALL, ExperimentScale, calibrate_workload, format_table
+from .common import SMALL, ExperimentScale, calibrate_workload
 
 #: The model/dataset pairs shown in Fig. 10.
 FIG10_WORKLOADS: tuple[tuple[str, str], ...] = (
@@ -55,10 +55,6 @@ class Fig10Result:
             if pair.model == model and pair.dataset == dataset:
                 return pair
         raise KeyError(f"{model}/{dataset}")
-
-    def formatted(self) -> str:
-        """Aligned text rendering."""
-        return format_table([p.__dict__ for p in self.pairs])
 
 
 def element_density(workload: ModelWorkload, scale: ExperimentScale) -> float:
@@ -102,7 +98,7 @@ def run_fig10(
     Fig10Result
         One :class:`DensityPair` per workload.
     """
-    engine = engine or default_engine()
+    engine = engine or SweepEngine()
     points = []
     for model_name, dataset_name in workloads:
         spec = scale.workload_spec(model_name, dataset_name)

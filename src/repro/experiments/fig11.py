@@ -21,7 +21,7 @@ from ..datasets.synthetic import make_dataset
 from ..snn.models import build_model
 from ..snn.training import SGDTrainer
 from ..core.calibration import PhiCalibrator
-from .common import SMALL, ExperimentScale, format_table
+from .common import SMALL, ExperimentScale
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,6 @@ class Fig11Result:
     """Accuracy comparison across workloads."""
 
     rows: list[AccuracyRow] = field(default_factory=list)
-
-    def formatted(self) -> str:
-        """Aligned text rendering."""
-        return format_table([r.__dict__ for r in self.rows])
 
 
 def _train_dnn_counterpart(

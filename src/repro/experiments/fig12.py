@@ -11,8 +11,8 @@ from ..analysis.traffic import (
     weight_traffic_from_layers,
 )
 from ..core.metrics import geometric_mean
-from ..runner.engine import SweepEngine, SweepPoint, default_engine
-from .common import SMALL, ExperimentScale, format_table
+from ..runner.engine import SweepEngine, SweepPoint
+from .common import SMALL, ExperimentScale
 
 #: Model/dataset pairs of Fig. 12 (one per model family).
 FIG12_WORKLOADS: tuple[tuple[str, str], ...] = (
@@ -51,23 +51,6 @@ class Fig12Result:
         with_prefetch = geometric_mean(r.weight.with_prefetch_ratio for r in self.rows)
         return without, with_prefetch
 
-    def formatted(self) -> str:
-        """Aligned text rendering."""
-        rows = []
-        for r in self.rows:
-            rows.append(
-                {
-                    "workload": f"{r.model}/{r.dataset}",
-                    "act_dense": r.activation.dense,
-                    "act_uncompressed": r.activation.phi_uncompressed,
-                    "act_compressed": r.activation.phi_compressed,
-                    "w_dense": r.weight.dense,
-                    "w_no_prefetch": r.weight.phi_without_prefetch,
-                    "w_prefetch": r.weight.phi_with_prefetch,
-                }
-            )
-        return format_table(rows)
-
 
 def run_fig12(
     scale: ExperimentScale = SMALL,
@@ -81,7 +64,7 @@ def run_fig12(
     ``--jobs`` parallelises across workloads and repeat runs come from the
     result cache.
     """
-    engine = engine or default_engine()
+    engine = engine or SweepEngine()
     arch = scale.arch_config()
     phi = scale.phi_config()
     points = [

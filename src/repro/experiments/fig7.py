@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 from ..hw.config import BufferSizes
 from ..hw.energy import DRAM_ENERGY_PER_BYTE_PJ, PhiEnergyModel
-from ..runner.engine import DECOMPOSITION, SweepEngine, SweepPoint, default_engine
-from .common import SMALL, ExperimentScale, format_table
+from ..runner.engine import DECOMPOSITION, SweepEngine, SweepPoint
+from .common import SMALL, ExperimentScale
 
 
 @dataclass(frozen=True)
@@ -73,17 +73,6 @@ class Fig7Result:
         """The K tile size with the lowest total density (paper: 16)."""
         return min(self.tile_sweep, key=lambda p: p.total_density).k_tile
 
-    def formatted(self) -> str:
-        """Aligned text rendering of all three sweeps."""
-        parts = []
-        parts.append("Fig. 7a/b: K tile size sweep")
-        parts.append(format_table([p.__dict__ for p in self.tile_sweep]))
-        parts.append("\nFig. 7c: pattern count sweep")
-        parts.append(format_table([p.__dict__ for p in self.pattern_sweep]))
-        parts.append("\nFig. 7d: buffer size sweep")
-        parts.append(format_table([p.__dict__ for p in self.buffer_sweep]))
-        return "\n".join(parts)
-
 
 def _tile_point(k_tile: int, partition_size: int, record: dict) -> TileSizePoint:
     """Fig. 7a/b metrics from one decomposition record."""
@@ -117,7 +106,7 @@ def run_fig7_tile_sweep(
     engine: SweepEngine | None = None,
 ) -> list[TileSizePoint]:
     """Fig. 7a/b: sweep the K partition size."""
-    engine = engine or default_engine()
+    engine = engine or SweepEngine()
     spec = scale.workload_spec(model_name, dataset_name)
     configs = []
     for k in tile_sizes:
@@ -150,7 +139,7 @@ def run_fig7_pattern_sweep(
     engine: SweepEngine | None = None,
 ) -> list[PatternCountPoint]:
     """Fig. 7c: sweep the number of patterns per partition."""
-    engine = engine or default_engine()
+    engine = engine or SweepEngine()
     spec = scale.workload_spec(model_name, dataset_name)
     points = [
         SweepPoint(
@@ -191,7 +180,7 @@ def run_fig7_buffer_sweep(
     engine: SweepEngine | None = None,
 ) -> list[BufferSizePoint]:
     """Fig. 7d: sweep the total on-chip buffer capacity."""
-    engine = engine or default_engine()
+    engine = engine or SweepEngine()
     spec = scale.workload_spec(model_name, dataset_name)
     base_sizes = BufferSizes()
     archs = [
@@ -232,7 +221,7 @@ def run_fig7(
     **kwargs,
 ) -> Fig7Result:
     """Run all three design-space sweeps."""
-    engine = engine or default_engine()
+    engine = engine or SweepEngine()
     return Fig7Result(
         tile_sweep=run_fig7_tile_sweep(scale, engine=engine, **kwargs),
         pattern_sweep=run_fig7_pattern_sweep(scale, engine=engine, **kwargs),

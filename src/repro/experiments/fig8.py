@@ -18,13 +18,8 @@ from dataclasses import dataclass, field, replace
 
 from ..baselines.registry import BASELINE_ORDER
 from ..core.metrics import geometric_mean
-from ..runner.engine import (
-    SweepEngine,
-    SweepPoint,
-    aligned_workload,
-    default_engine,
-)
-from .common import SMALL, ExperimentScale, format_table
+from ..runner.engine import SweepEngine, SweepPoint, WorkloadSpec, aligned_workload
+from .common import SMALL, ExperimentScale
 
 #: Default Fig. 8 workload list (subset of the paper's 12 pairs chosen to
 #: cover every model family; pass ``workloads=`` to run more).
@@ -99,18 +94,6 @@ class Fig8Result:
                 result[accel] = geometric_mean(values)
         return result
 
-    def formatted(self) -> str:
-        """Aligned text rendering of the speedup table."""
-        rows = []
-        for comparison in self.comparisons:
-            row = {"workload": comparison.key}
-            row.update({a: comparison.speedup.get(a) for a in ACCELERATORS})
-            rows.append(row)
-        geo = {"workload": "geomean"}
-        geo.update(self.geomean_speedup())
-        rows.append(geo)
-        return format_table(rows)
-
 
 def apply_paft_to_workload(
     workload,
@@ -132,44 +115,25 @@ def apply_paft_to_workload(
 
 
 def _workload_points(
-    model_name: str,
-    dataset_name: str,
-    scale: ExperimentScale,
-    paft_strength: float,
+    spec: WorkloadSpec, scale: ExperimentScale, paft_strength: float
 ) -> list[tuple[str, SweepPoint]]:
-    """The (accelerator name, sweep point) grid of one Fig. 8 column."""
-    spec = scale.workload_spec(model_name, dataset_name)
+    """The (accelerator name, sweep point) grid of one workload column."""
     arch = scale.arch_config()
     phi = scale.phi_config()
     points = [
-        (
-            name,
-            SweepPoint(
-                workload=spec,
-                arch=arch,
-                accelerator=name,
-                label=f"fig8:{spec.key}:{name}",
-            ),
-        )
+        (name, SweepPoint(workload=spec, arch=arch, accelerator=name))
         for name in BASELINE_ORDER
     ]
-    points.append(
-        (
-            "phi",
-            SweepPoint(
-                workload=spec, arch=arch, phi=phi, label=f"fig8:{spec.key}:phi"
-            ),
-        )
-    )
-    paft_spec = replace(spec, paft_strength=paft_strength)
+    points.append(("phi", SweepPoint(workload=spec, arch=arch, phi=phi)))
+    # Labelled, or progress output would show it as plain "phi".
     points.append(
         (
             "phi_paft",
             SweepPoint(
-                workload=paft_spec,
+                workload=replace(spec, paft_strength=paft_strength),
                 arch=arch,
                 phi=phi,
-                label=f"fig8:{spec.key}:phi_paft",
+                label=f"phi_paft:{spec.key}",
             ),
         )
     )
@@ -201,6 +165,23 @@ def _comparison_from_records(
     return comparison
 
 
+def _compare_specs(
+    specs: list[WorkloadSpec],
+    scale: ExperimentScale,
+    paft_strength: float,
+    engine: SweepEngine,
+) -> list[WorkloadComparison]:
+    """Run every accelerator on every workload spec as one engine batch."""
+    grids = [_workload_points(spec, scale, paft_strength) for spec in specs]
+    records = iter(engine.run([point for grid in grids for _, point in grid]))
+    return [
+        _comparison_from_records(
+            spec.model, spec.dataset, {name: next(records) for name, _ in grid}
+        )
+        for spec, grid in zip(specs, grids)
+    ]
+
+
 def compare_workload(
     model_name: str,
     dataset_name: str,
@@ -210,11 +191,8 @@ def compare_workload(
     engine: SweepEngine | None = None,
 ) -> WorkloadComparison:
     """Run all accelerators on one workload and normalise the results."""
-    engine = engine or default_engine()
-    named_points = _workload_points(model_name, dataset_name, scale, paft_strength)
-    records = engine.run([point for _, point in named_points])
-    named_records = {name: record for (name, _), record in zip(named_points, records)}
-    return _comparison_from_records(model_name, dataset_name, named_records)
+    spec = scale.workload_spec(model_name, dataset_name)
+    return _compare_specs([spec], scale, paft_strength, engine or SweepEngine())[0]
 
 
 def run_fig8(
@@ -229,18 +207,7 @@ def run_fig8(
     The entire (workload x accelerator) grid is submitted to the engine as
     one batch so every point can run in parallel.
     """
-    engine = engine or default_engine()
-    grids = [
-        _workload_points(model_name, dataset_name, scale, paft_strength)
-        for model_name, dataset_name in workloads
-    ]
-    flat_points = [point for grid in grids for _, point in grid]
-    records = iter(engine.run(flat_points))
-
-    result = Fig8Result()
-    for (model_name, dataset_name), grid in zip(workloads, grids):
-        named_records = {name: next(records) for name, _ in grid}
-        result.comparisons.append(
-            _comparison_from_records(model_name, dataset_name, named_records)
-        )
-    return result
+    specs = [scale.workload_spec(model, dataset) for model, dataset in workloads]
+    return Fig8Result(
+        _compare_specs(specs, scale, paft_strength, engine or SweepEngine())
+    )

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..baselines.registry import BASELINE_ORDER
-from ..runner.engine import SweepEngine, SweepPoint, default_engine
-from .common import SMALL, ExperimentScale, format_table
+from ..runner.engine import SweepEngine, SweepPoint
+from .common import SMALL, ExperimentScale
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,6 @@ class Table2Result:
             for r in self.rows
         ]
 
-    def formatted(self) -> str:
-        """Aligned text rendering of the table."""
-        return format_table(self.as_dicts())
-
 
 def run_table2(
     scale: ExperimentScale = SMALL,
@@ -91,7 +87,7 @@ def run_table2(
         One :class:`AcceleratorRow` per baseline plus Phi, normalised to
         Spiking Eyeriss.
     """
-    engine = engine or default_engine()
+    engine = engine or SweepEngine()
     spec = scale.workload_spec(model_name, dataset_name)
     arch = scale.arch_config()
     names = BASELINE_ORDER + ("phi",)

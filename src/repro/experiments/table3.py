@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 from ..hw.config import ArchConfig
 from ..hw.energy import PhiEnergyModel
-from .common import format_table
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,6 @@ class Table3Result:
             }
         )
         return data
-
-    def formatted(self) -> str:
-        """Aligned text rendering."""
-        return format_table(self.as_dicts())
 
 
 def run_table3(arch: ArchConfig | None = None) -> Table3Result:

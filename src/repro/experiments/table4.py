@@ -17,9 +17,8 @@ from ..runner.engine import (
     SweepEngine,
     SweepPoint,
     WorkloadSpec,
-    default_engine,
 )
-from .common import SMALL, ExperimentScale, format_table
+from .common import SMALL, ExperimentScale
 
 
 @dataclass(frozen=True)
@@ -69,10 +68,6 @@ class Table4Result:
             }
             for r in self.rows
         ]
-
-    def formatted(self) -> str:
-        """Aligned text rendering."""
-        return format_table(self.as_dicts())
 
 
 def _row_from_record(record: dict) -> SparsityRow:
@@ -135,7 +130,7 @@ def run_table4(
     Table4Result
         One :class:`SparsityRow` per workload (and per random density).
     """
-    engine = engine or default_engine()
+    engine = engine or SweepEngine()
     specs = [
         scale.workload_spec(model_name, dataset_name)
         for model_name, dataset_name in workloads

@@ -4,26 +4,21 @@ The paper's evaluation stacks each layer's spike matrices over time into
 one tall GEMM, which is the right model for feed-forward networks but
 hides how sparsity evolves across time steps.  Recurrent models make the
 time axis load-bearing: membrane state accumulates, so later steps are
-denser than earlier ones.  This harness runs every accelerator on
-workloads whose specs carry ``temporal=True`` — one GEMM per (layer,
-time step), named like ``"rnn0.input@t2"`` — and additionally reports
-the per-step activation density profile that the stacked view erases.
-
-Normalisations match Fig. 8: speedup relative to Spiking Eyeriss, energy
-relative to Phi without PAFT.  Every (accelerator, workload) pair is one
-:class:`~repro.runner.SweepPoint` and the whole experiment is a single
-:class:`~repro.runner.SweepEngine` batch.
+denser than earlier ones.  This harness runs Fig. 8's accelerator grid
+and normalisations on workloads whose specs carry ``temporal=True`` —
+one GEMM per (layer, time step), named like ``"rnn0.input@t2"`` — and
+additionally reports the per-step activation density profile that the
+stacked view erases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..baselines.registry import BASELINE_ORDER
-from ..core.metrics import geometric_mean
-from ..runner.engine import SweepEngine, SweepPoint, default_engine
+from ..runner.engine import SweepEngine
 from ..workloads.temporal import cached_temporal_workload, temporal_density_profile
-from .common import SMALL, ExperimentScale, format_table
+from .common import SMALL, ExperimentScale
+from .fig8 import Fig8Result, WorkloadComparison, _compare_specs
 
 #: Default temporal workload list: the recurrent speech model plus one
 #: feed-forward model for contrast (its per-step profile is flat).
@@ -32,154 +27,13 @@ DEFAULT_WORKLOADS: tuple[tuple[str, str], ...] = (
     ("vgg16", "cifar10"),
 )
 
-#: Accelerator ordering used in the comparison (same as Fig. 8).
-ACCELERATORS: tuple[str, ...] = BASELINE_ORDER + ("phi", "phi_paft")
-
 
 @dataclass
-class TemporalComparison:
-    """Per-accelerator results on one time-unrolled workload."""
+class TemporalComparison(WorkloadComparison):
+    """A Fig. 8 comparison on one time-unrolled workload."""
 
-    model: str
-    dataset: str
-    speedup: dict[str, float] = field(default_factory=dict)
-    energy: dict[str, float] = field(default_factory=dict)
-    throughput_gops: dict[str, float] = field(default_factory=dict)
-    energy_joules: dict[str, float] = field(default_factory=dict)
     #: Element-weighted activation density per time step.
     density_by_step: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def key(self) -> str:
-        """Canonical workload identifier."""
-        return f"{self.model}/{self.dataset}"
-
-
-@dataclass
-class TemporalResult:
-    """All temporal comparisons plus geometric means."""
-
-    comparisons: list[TemporalComparison] = field(default_factory=list)
-
-    def geomean_speedup(self) -> dict[str, float]:
-        """Geometric-mean speedup per accelerator (normalised to Eyeriss)."""
-        result = {}
-        for accel in ACCELERATORS:
-            values = [c.speedup[accel] for c in self.comparisons if accel in c.speedup]
-            if values:
-                result[accel] = geometric_mean(values)
-        return result
-
-    def geomean_energy(self) -> dict[str, float]:
-        """Geometric-mean energy per accelerator (normalised to Phi w/o PAFT)."""
-        result = {}
-        for accel in ACCELERATORS:
-            values = [c.energy[accel] for c in self.comparisons if accel in c.energy]
-            if values:
-                result[accel] = geometric_mean(values)
-        return result
-
-    def formatted(self) -> str:
-        """Aligned text rendering: speedup table plus density profiles."""
-        rows = []
-        for comparison in self.comparisons:
-            row = {"workload": comparison.key}
-            row.update({a: comparison.speedup.get(a) for a in ACCELERATORS})
-            rows.append(row)
-        geo = {"workload": "geomean"}
-        geo.update(self.geomean_speedup())
-        rows.append(geo)
-        parts = [format_table(rows)]
-
-        density_rows = []
-        for comparison in self.comparisons:
-            row = {"workload": comparison.key}
-            row.update(
-                {f"t{step}": value for step, value in comparison.density_by_step.items()}
-            )
-            density_rows.append(row)
-        if density_rows:
-            parts.append("per-step activation density:")
-            parts.append(format_table(density_rows))
-        return "\n\n".join(parts)
-
-
-def _workload_points(
-    model_name: str,
-    dataset_name: str,
-    scale: ExperimentScale,
-    paft_strength: float,
-) -> list[tuple[str, SweepPoint]]:
-    """The (accelerator name, sweep point) grid of one temporal column."""
-    spec = replace(scale.workload_spec(model_name, dataset_name), temporal=True)
-    arch = scale.arch_config()
-    phi = scale.phi_config()
-    points = [
-        (
-            name,
-            SweepPoint(
-                workload=spec,
-                arch=arch,
-                accelerator=name,
-                label=f"temporal:{spec.key}:{name}",
-            ),
-        )
-        for name in BASELINE_ORDER
-    ]
-    points.append(
-        (
-            "phi",
-            SweepPoint(
-                workload=spec, arch=arch, phi=phi, label=f"temporal:{spec.key}:phi"
-            ),
-        )
-    )
-    paft_spec = replace(spec, paft_strength=paft_strength)
-    points.append(
-        (
-            "phi_paft",
-            SweepPoint(
-                workload=paft_spec,
-                arch=arch,
-                phi=phi,
-                label=f"temporal:{spec.key}:phi_paft",
-            ),
-        )
-    )
-    return points
-
-
-def _comparison_from_records(
-    model_name: str,
-    dataset_name: str,
-    scale: ExperimentScale,
-    named_records: dict[str, dict],
-) -> TemporalComparison:
-    """Normalise one workload's records into a temporal comparison."""
-    comparison = TemporalComparison(model=model_name, dataset=dataset_name)
-    eyeriss_throughput = named_records["eyeriss"]["throughput_gops"]
-    phi_energy = named_records["phi"]["energy_joules"]
-    # As in Fig. 8, the PAFT run's speedup is normalised against the
-    # nominal OP count of the unaligned model.
-    nominal_ops = named_records["phi"]["total_operations"]
-    for name, record in named_records.items():
-        if name == "phi_paft":
-            runtime = record["runtime_seconds"]
-            throughput = nominal_ops / runtime / 1e9 if runtime else 0.0
-        else:
-            throughput = record["throughput_gops"]
-        comparison.throughput_gops[name] = throughput
-        comparison.speedup[name] = throughput / eyeriss_throughput
-        comparison.energy_joules[name] = record["energy_joules"]
-        comparison.energy[name] = record["energy_joules"] / phi_energy
-    workload = cached_temporal_workload(
-        model_name,
-        dataset_name,
-        batch_size=scale.batch_size,
-        num_steps=scale.num_steps,
-    )
-    comparison.density_by_step = temporal_density_profile(workload)
-    return comparison
 
 
 def run_temporal(
@@ -188,25 +42,32 @@ def run_temporal(
     workloads: tuple[tuple[str, str], ...] = DEFAULT_WORKLOADS,
     paft_strength: float = 0.5,
     engine: SweepEngine | None = None,
-) -> TemporalResult:
+) -> Fig8Result:
     """Run all accelerators on time-unrolled workloads and normalise.
 
     The entire (workload x accelerator) grid is submitted to the engine as
     one batch so every point can run in parallel; the per-step density
     profile is computed from the in-process workload memo afterwards.
+    The result holds one :class:`TemporalComparison` per workload.
     """
-    engine = engine or default_engine()
-    grids = [
-        _workload_points(model_name, dataset_name, scale, paft_strength)
-        for model_name, dataset_name in workloads
+    specs = [
+        replace(scale.workload_spec(model, dataset), temporal=True)
+        for model, dataset in workloads
     ]
-    flat_points = [point for grid in grids for _, point in grid]
-    records = iter(engine.run(flat_points))
-
-    result = TemporalResult()
-    for (model_name, dataset_name), grid in zip(workloads, grids):
-        named_records = {name: next(records) for name, _ in grid}
+    result = Fig8Result()
+    for comparison in _compare_specs(
+        specs, scale, paft_strength, engine or SweepEngine()
+    ):
+        workload = cached_temporal_workload(
+            comparison.model,
+            comparison.dataset,
+            batch_size=scale.batch_size,
+            num_steps=scale.num_steps,
+        )
         result.comparisons.append(
-            _comparison_from_records(model_name, dataset_name, scale, named_records)
+            TemporalComparison(
+                **vars(comparison),
+                density_by_step=temporal_density_profile(workload),
+            )
         )
     return result

@@ -23,15 +23,9 @@ import pathlib
 import sys
 import time
 
-from ..experiments.registry import (
-    REGISTRY,
-    SCALES,
-    get_experiment,
-    registry_markdown_table,
-)
-from ..runner.cache import ResultCache, default_cache_dir
+from ..experiments.registry import REGISTRY, get_experiment, registry_markdown_table
+from ..runner.cli import _add_common, _engine_from_args
 from ..runner.engine import SweepEngine
-from ..runner.store import ArtifactStore, default_store_dir
 from .artifact import (
     ReportArtifact,
     SectionRecord,
@@ -51,24 +45,12 @@ def build_parser() -> argparse.ArgumentParser:
             "reproduction report (REPRODUCTION.md + data/ + figures/)."
         ),
     )
-    parser.add_argument(
-        "--scale",
-        choices=tuple(SCALES),
-        default="small",
-        help="experiment scale tier (default: %(default)s)",
-    )
+    _add_common(parser)
     parser.add_argument(
         "--only",
         default="",
         metavar="NAMES",
         help="comma-separated experiment subset (default: all registered)",
-    )
-    parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        help="simulator worker processes for engine-backed experiments",
     )
     parser.add_argument(
         "--output",
@@ -77,41 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="artifact output directory (default: %(default)s)",
     )
     parser.add_argument(
-        "--cache-dir",
-        default=default_cache_dir(),
-        help="sweep/section result cache directory (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable both the sweep cache and the section cache",
-    )
-    parser.add_argument(
-        "--store-dir",
-        default=default_store_dir(),
-        help="shared artifact store directory (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--no-store",
-        action="store_true",
-        help="disable the shared workload/calibration store",
-    )
-    parser.add_argument(
-        "--remote",
-        default=None,
-        metavar="URL",
-        help=(
-            "build the report against a running `python -m repro.service "
-            "serve` instead of simulating locally"
-        ),
-    )
-    parser.add_argument(
         "--no-figures",
         action="store_true",
         help="skip matplotlib figures even when matplotlib is available",
-    )
-    parser.add_argument(
-        "--quiet", "-q", action="store_true", help="suppress progress output"
     )
     parser.add_argument(
         "--list",
@@ -143,11 +93,8 @@ def main(argv: list[str] | None = None) -> int:
         cache = None
         engine = SweepEngine()  # never run; sections come from the service
     else:
-        cache = None if args.no_cache else ResultCache(args.cache_dir)
-        store = None if args.no_store else ArtifactStore(args.store_dir)
-        engine = SweepEngine(
-            cache=cache, jobs=args.jobs, progress=not args.quiet, store=store
-        )
+        engine = _engine_from_args(args)
+        cache = engine.cache
     command = f"python -m repro.report --scale {args.scale}"
     if args.only:
         command += f" --only {args.only}"

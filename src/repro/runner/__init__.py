@@ -22,7 +22,6 @@ from .engine import (
     WorkloadSpec,
     aligned_workload,
     calibration_for,
-    default_engine,
     progress_scope,
     simulate_many,
     simulate_point,
@@ -43,7 +42,6 @@ __all__ = [
     "cache_key",
     "calibration_for",
     "default_cache_dir",
-    "default_engine",
     "default_store_dir",
     "progress_scope",
     "simulate_many",

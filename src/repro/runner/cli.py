@@ -27,8 +27,12 @@ artifact; ``sweep --trace`` then simulates the imported workload instead
 of a generated one.
 
 ``exp`` accepts every name in the experiment registry
-(:mod:`repro.experiments.registry`); the full multi-experiment report is
-``python -m repro.report``.
+(:mod:`repro.experiments.registry`) and prints the experiment's report
+section, the same Markdown as ``python -m repro.report --only <name>``;
+the full multi-experiment report is ``python -m repro.report``.
+``fig7`` and ``fig12`` are shorthands for ``exp fig7`` and ``exp fig12``.
+``fig8`` is ``exp fig8`` over the seven default workloads (``--full``:
+all twelve) at every tier, where ``exp fig8`` applies the tier's preset.
 """
 
 from __future__ import annotations
@@ -156,67 +160,29 @@ def _run_remote(
     return 0
 
 
-def _cmd_fig7(args: argparse.Namespace) -> int:
-    from ..experiments.fig7 import run_fig7
+def _cmd_exp(args: argparse.Namespace, overrides: dict | None = None) -> int:
+    from ..experiments.registry import get_experiment
+    from ..report.emitters import build_payload, section_markdown
 
     if args.remote:
-        return _run_remote(args, "fig7")
+        return _run_remote(args, args.name, overrides)
+    spec = get_experiment(args.name)
     with _engine_from_args(args) as engine:
         start = time.perf_counter()
-        result = run_fig7(_scale(args.scale), engine=engine)
+        result = spec.run(args.scale, engine=engine, **(overrides or {}))
         elapsed = time.perf_counter() - start
-    print(result.formatted())
+    print(section_markdown(spec, build_payload(spec, result)))
     _report(engine, elapsed)
     return 0
 
 
 def _cmd_fig8(args: argparse.Namespace) -> int:
-    from ..experiments.fig8 import DEFAULT_WORKLOADS, FULL_WORKLOADS, run_fig8
+    from ..experiments.fig8 import DEFAULT_WORKLOADS, FULL_WORKLOADS
 
+    # Always send the workload list: omitting it would let the registry's
+    # per-tier presets pick a different (smaller) set.
     workloads = FULL_WORKLOADS if args.full else DEFAULT_WORKLOADS
-    if args.remote:
-        # Always send the workload list: the local path runs exactly
-        # these workloads, and omitting them would let the registry's
-        # per-tier presets pick a different set remotely.
-        overrides = {"workloads": [list(pair) for pair in workloads]}
-        return _run_remote(args, "fig8", overrides)
-    with _engine_from_args(args) as engine:
-        start = time.perf_counter()
-        result = run_fig8(_scale(args.scale), workloads=workloads, engine=engine)
-        elapsed = time.perf_counter() - start
-    print(result.formatted())
-    _report(engine, elapsed)
-    return 0
-
-
-def _cmd_fig12(args: argparse.Namespace) -> int:
-    from ..experiments.fig12 import run_fig12
-
-    if args.remote:
-        return _run_remote(args, "fig12")
-    with _engine_from_args(args) as engine:
-        start = time.perf_counter()
-        result = run_fig12(_scale(args.scale), engine=engine)
-        elapsed = time.perf_counter() - start
-    print(result.formatted())
-    _report(engine, elapsed)
-    return 0
-
-
-def _cmd_exp(args: argparse.Namespace) -> int:
-    from ..experiments.registry import get_experiment
-    from ..report.emitters import build_payload, section_markdown
-
-    if args.remote:
-        return _run_remote(args, args.name)
-    spec = get_experiment(args.name)
-    with _engine_from_args(args) as engine:
-        start = time.perf_counter()
-        result = spec.run(args.scale, engine=engine)
-        elapsed = time.perf_counter() - start
-    print(section_markdown(spec, build_payload(spec, result)))
-    _report(engine, elapsed)
-    return 0
+    return _cmd_exp(args, {"workloads": [list(pair) for pair in workloads]})
 
 
 def load_trace_npz(path: pathlib.Path | str, *, model: str) -> "ModelWorkload":
@@ -267,7 +233,7 @@ def load_trace_npz(path: pathlib.Path | str, *, model: str) -> "ModelWorkload":
 
 
 def _trace_summary(name: str, workload) -> str:
-    from ..experiments.common import format_table
+    from ..report.emitters import markdown_table
 
     rows = [
         {
@@ -283,7 +249,7 @@ def _trace_summary(name: str, workload) -> str:
         f"trace {name!r}: {len(workload)} layers, "
         f"model {workload.model_name!r}"
     )
-    return header + "\n" + format_table(rows)
+    return header + "\n" + markdown_table(rows)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -321,7 +287,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from ..experiments.common import format_table
+    from ..report.emitters import markdown_table
 
     if args.remote:
         print(
@@ -370,7 +336,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         }
         for q, record in zip(pattern_counts, records)
     ]
-    print(format_table(rows))
+    print(markdown_table(rows))
     _report(engine, elapsed)
     return 0
 
@@ -455,14 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, doc in (
-        ("fig7", _cmd_fig7, "Fig. 7 design-space exploration"),
-        ("fig8", _cmd_fig8, "Fig. 8 speedup / energy comparison"),
-        ("fig12", _cmd_fig12, "Fig. 12 memory-traffic comparison"),
+    for name, doc in (
+        ("fig7", "Fig. 7 design-space exploration (same as `exp fig7`)"),
+        ("fig8", "Fig. 8 speedup / energy comparison"),
+        ("fig12", "Fig. 12 memory-traffic comparison (same as `exp fig12`)"),
     ):
         p = sub.add_parser(name, help=doc)
         _add_common(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_fig8 if name == "fig8" else _cmd_exp, name=name)
         if name == "fig8":
             p.add_argument(
                 "--full",

@@ -61,7 +61,6 @@ from .store import (
     KIND_TRACE,
     KIND_WORKLOAD,
     ArtifactStore,
-    DecompositionArtifact,
 )
 
 #: Bump on ANY change that affects cached records — the record layout OR
@@ -545,24 +544,18 @@ def _stored_decompositions(
     bit-exact and much cheaper than re-matching.
     """
     store = _current_store()
-    if store is None:
-        return {
-            layer.name: calibration[layer.name].decompose(layer.activations)
-            for layer in workload
-            if layer.name in calibration
-        }
-    key, found = store.lookup(KIND_DECOMPOSITION, _artifact_payload(spec, config))
-    if found is None:
-        decompositions = {
-            layer.name: calibration[layer.name].decompose(layer.activations)
-            for layer in workload
-            if layer.name in calibration
-        }
+    if store is not None:
+        key, found = store.lookup(KIND_DECOMPOSITION, _artifact_payload(spec, config))
+        if found is not None:
+            return found.rebuild(workload, calibration)
+    decompositions = {
+        layer.name: calibration[layer.name].decompose(layer.activations)
+        for layer in workload
+        if layer.name in calibration
+    }
+    if store is not None:
         store.put(KIND_DECOMPOSITION, key, decompositions)
-        return decompositions
-    if isinstance(found, DecompositionArtifact):
-        return found.rebuild(workload, calibration)
-    return found
+    return decompositions
 
 
 def _with_store_delta(task: Callable, *args):
@@ -1471,8 +1464,3 @@ class SweepEngine:
     def run_one(self, point: SweepPoint) -> dict:
         """Convenience wrapper for a single point."""
         return self.run([point])[0]
-
-
-def default_engine() -> SweepEngine:
-    """A serial, cache-less engine (pure recompute-everything behaviour)."""
-    return SweepEngine()

@@ -17,6 +17,14 @@ from repro.experiments import (
     run_table4,
 )
 from repro.experiments.fig8 import compare_workload
+from repro.experiments.registry import get_experiment
+from repro.report.emitters import build_payload, section_markdown
+
+
+def section(name, result):
+    """The experiment's printed report section (the only text rendering)."""
+    spec = get_experiment(name)
+    return section_markdown(spec, build_payload(spec, result))
 
 
 class TestTable2:
@@ -43,7 +51,7 @@ class TestTable2:
         assert phi.area_mm2 <= min(r.area_mm2 for r in result.rows)
 
     def test_formatted_output(self, result):
-        text = result.formatted()
+        text = section("table2", result)
         assert "phi" in text and "eyeriss" in text
 
 
@@ -57,7 +65,7 @@ class TestTable3:
         # The buffer dominates both area and power (paper Section 5.3.3).
         assert result.row("buffer").area_mm2 == max(r.area_mm2 for r in result.rows)
         assert result.row("buffer").power_mw == max(r.power_mw for r in result.rows)
-        assert "total" in result.formatted()
+        assert "total" in section("table3", result)
 
 
 class TestTable4:
@@ -146,4 +154,4 @@ class TestFig12AndDiscussion:
     def test_discussion_preprocessing_pays_off(self):
         result = run_discussion(TINY, workloads=(("vgg16", "cifar10"),))
         assert result.average_ratio() > 1.0
-        assert "benefit_cost" in result.formatted()
+        assert "benefit_cost" in section("discussion", result)

@@ -508,6 +508,40 @@ class TestEngineReentrancy:
         assert getattr(engine_module._PROGRESS, "hook", None) is None
 
 
+class TestFigureSubcommands:
+    """``fig7``/``fig12`` print exactly what ``exp`` prints, ``fig8`` keeps
+    its default-workload grid, and every footer parses for ``repro.bench``."""
+
+    FLAGS = ["--scale", "tiny", "-q", "--no-cache", "--no-store"]
+
+    def _run(self, capsys, *command):
+        """(stdout above the footer, footer match) of one CLI call."""
+        from repro.bench.cli import _STATS_RE
+        from repro.runner.cli import main
+
+        assert main([*command, *self.FLAGS]) == 0
+        body, _, footer = capsys.readouterr().out.rstrip("\n").rpartition("\n")
+        match = _STATS_RE.fullmatch(footer)
+        assert match, footer
+        return body, match
+
+    @pytest.mark.parametrize("name", ["fig7", "fig12"])
+    def test_shorthand_prints_the_exp_section(self, capsys, name):
+        body, stats = self._run(capsys, name)
+        exp_body, exp_stats = self._run(capsys, "exp", name)
+        assert body == exp_body
+        assert body.startswith("### ") and f"`{name}`" in body
+        assert stats["points"] == exp_stats["points"]
+
+    def test_fig8_runs_the_default_workloads(self, capsys):
+        from repro.experiments.fig8 import ACCELERATORS, DEFAULT_WORKLOADS
+
+        body, stats = self._run(capsys, "fig8")
+        assert int(stats["points"]) == 49 == len(DEFAULT_WORKLOADS) * len(ACCELERATORS)
+        for model, dataset in DEFAULT_WORKLOADS:
+            assert f"| {model}/{dataset} |" in body
+
+
 class TestValidateCacheSubprocess:
     """The CLI contract: non-zero exit whenever any record fails validation.
 

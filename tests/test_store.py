@@ -334,7 +334,8 @@ class TestParallelDeterminism:
 
 class TestBenchTrajectory:
     def test_append_and_check(self, tmp_path):
-        from repro.bench import BenchResult, append_results, check_against_baseline
+        from repro.bench import BenchResult, append_results
+        from repro.bench.cli import compare_trajectory
 
         result = BenchResult(
             schema=1,
@@ -361,9 +362,19 @@ class TestBenchTrajectory:
 
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps({"fig7/tiny/serial_cold": 1.0}))
-        assert check_against_baseline([result], baseline) == []
+        assert compare_trajectory(output, baseline)[1] == []
+        # A scenario with no baseline entry is listed but never fails.
+        unbaselined = BenchResult(
+            **{**entries[0], "scenario": "parallel_cold", "wall_seconds": 9.0}
+        )
+        append_results([unbaselined], output)
+        lines, failures = compare_trajectory(output, baseline)
+        assert failures == []
+        assert any("parallel_cold" in line for line in lines)
+        # The latest entry per key is the one gated.
         slow = BenchResult(**{**entries[0], "wall_seconds": 2.5})
-        failures = check_against_baseline([slow], baseline)
+        append_results([slow], output)
+        failures = compare_trajectory(output, baseline)[1]
         assert len(failures) == 1 and "serial_cold" in failures[0]
 
 

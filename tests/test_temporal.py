@@ -253,7 +253,7 @@ class TestStoreCompatLookup:
 class TestTemporalExperiment:
     def test_tiny_end_to_end(self):
         from repro.experiments.registry import get_experiment
-        from repro.report.emitters import build_payload
+        from repro.report.emitters import build_payload, section_markdown
 
         spec = get_experiment("temporal")
         assert spec.uses_engine
@@ -265,4 +265,4 @@ class TestTemporalExperiment:
         payload = build_payload(spec, result)
         json.dumps(payload)  # payload must be JSON-serialisable
         assert any("density" in t["title"].lower() for t in payload["tables"])
-        assert "formatted" in dir(result) and "geomean" in result.formatted()
+        assert "geomean" in section_markdown(spec, payload)
