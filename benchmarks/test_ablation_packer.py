@@ -5,16 +5,17 @@ paper's own sweeps: how much the multi-window packer helps pack occupancy,
 and how Level 2 density responds to the PAFT alignment strength.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from conftest import run_once
 
 from repro.core import PhiCalibrator
 from repro.experiments.common import get_workload
-from repro.experiments.fig8 import apply_paft_to_workload
-from repro.experiments.fig10 import element_density
 from repro.core.sparsity import decompose_tile
 from repro.hw import ArchConfig
 from repro.hw.preprocessor import CompressedCounts, pack_counts_batch
+from repro.runner.engine import DECOMPOSITION, SweepEngine, SweepPoint
 
 
 def _pack_utilization(workload, scale, windows: int) -> float:
@@ -58,19 +59,25 @@ def test_ablation_packer_windows(benchmark, scale):
 
 
 def test_ablation_paft_strength(benchmark, scale):
-    workload = get_workload("vgg16", "cifar10", scale)
+    spec = scale.workload_spec("vgg16", "cifar10")
+    strengths = (0.0, 0.5, 1.0)
+    points = [
+        SweepPoint(
+            workload=spec if strength == 0.0 else replace(spec, paft_strength=strength),
+            arch=scale.arch_config(),
+            phi=scale.phi_config(),
+            accelerator=DECOMPOSITION,
+            label=f"ablation:paft={strength}",
+        )
+        for strength in strengths
+    ]
 
     def sweep():
-        densities = {}
-        for strength in (0.0, 0.5, 1.0):
-            if strength == 0.0:
-                densities[strength] = element_density(workload, scale)
-            else:
-                aligned = apply_paft_to_workload(
-                    workload, scale, alignment_strength=strength
-                )
-                densities[strength] = element_density(aligned, scale)
-        return densities
+        records = SweepEngine().run(points)
+        return {
+            strength: record["breakdown"]["level2_density"]
+            for strength, record in zip(strengths, records)
+        }
 
     densities = run_once(benchmark, sweep)
     print("\n=== Ablation: Level 2 density vs PAFT alignment strength ===")

@@ -8,7 +8,7 @@ from .clustering import (
     pattern_histogram,
     top_pattern_coverage,
 )
-from .traffic import ActivationTraffic, WeightTraffic, activation_traffic, weight_traffic
+from .traffic import ActivationTraffic, WeightTraffic
 from .tsne import TSNEResult, pairwise_squared_distances, tsne
 
 __all__ = [
@@ -23,6 +23,4 @@ __all__ = [
     "expected_random_distance",
     "ActivationTraffic",
     "WeightTraffic",
-    "activation_traffic",
-    "weight_traffic",
 ]

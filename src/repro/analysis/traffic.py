@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from ..hw.pipeline import RunResult
-
 
 @dataclass(frozen=True)
 class ActivationTraffic:
@@ -96,28 +94,3 @@ def weight_traffic_from_layers(
         phi_without_prefetch=without_prefetch,
         phi_with_prefetch=with_prefetch,
     )
-
-
-def _layer_records(result: RunResult) -> list[dict]:
-    return [
-        {
-            "m": layer.m,
-            "k": layer.k,
-            "activation_bytes": layer.activation_bytes,
-            "activation_bytes_uncompressed": layer.activation_bytes_uncompressed,
-            "weight_bytes": layer.weight_bytes,
-            "pwp_bytes_prefetched": layer.pwp_bytes_prefetched,
-            "pwp_bytes_unfiltered": layer.pwp_bytes_unfiltered,
-        }
-        for layer in result.layers
-    ]
-
-
-def activation_traffic(result: RunResult) -> ActivationTraffic:
-    """Aggregate Fig. 12a activation-traffic comparison for one model."""
-    return activation_traffic_from_layers(_layer_records(result))
-
-
-def weight_traffic(result: RunResult) -> WeightTraffic:
-    """Aggregate Fig. 12b weight-traffic comparison for one model."""
-    return weight_traffic_from_layers(_layer_records(result))

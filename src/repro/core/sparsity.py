@@ -52,11 +52,6 @@ class TileDecomposition:
         """Number of activation rows M in the tile."""
         return int(self.original.shape[0])
 
-    @property
-    def width(self) -> int:
-        """Partition width k."""
-        return int(self.original.shape[1])
-
     def row_slice(self, start: int, stop: int) -> "TileDecomposition":
         """The decomposition restricted to rows ``[start, stop)``.
 
@@ -102,20 +97,6 @@ class TileDecomposition:
         if self.level2.size == 0:
             return 0.0
         return float(np.count_nonzero(self.level2) / self.level2.size)
-
-    @property
-    def level2_positive_density(self) -> float:
-        """Fraction of +1 correction elements."""
-        if self.level2.size == 0:
-            return 0.0
-        return float(np.count_nonzero(self.level2 == 1) / self.level2.size)
-
-    @property
-    def level2_negative_density(self) -> float:
-        """Fraction of -1 correction elements."""
-        if self.level2.size == 0:
-            return 0.0
-        return float(np.count_nonzero(self.level2 == -1) / self.level2.size)
 
     def compute_output(self, weight_tile: np.ndarray, pwps: np.ndarray | None = None) -> np.ndarray:
         """Compute ``A_tile @ weight_tile`` via the Phi decomposition.
@@ -294,11 +275,6 @@ class MatrixDecomposition:
     def total_width(self) -> int:
         """Total reduction width K."""
         return self.boundaries[-1][1] if self.boundaries else 0
-
-    @property
-    def num_partitions(self) -> int:
-        """Number of K partitions."""
-        return len(self.tiles)
 
     def reconstruct(self) -> np.ndarray:
         """Reconstruct the full binary activation matrix."""

@@ -150,6 +150,9 @@ def workload_for(
         num_steps=num_steps,
         seed=seed,
         split=split,
+        # lru_cache keys on the keywords as passed: these are the engine's,
+        # in its order, so both share one memo entry.
+        temporal=False,
     )
 
 

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..core.metrics import aggregate_breakdowns, sparsity_breakdown
 from ..runner.engine import DECOMPOSITION, SweepEngine, SweepPoint
-from ..workloads.workload import ModelWorkload
-from .common import SMALL, ExperimentScale, calibrate_workload
+from .common import SMALL, ExperimentScale
 
 #: The model/dataset pairs shown in Fig. 10.
 FIG10_WORKLOADS: tuple[tuple[str, str], ...] = (
@@ -55,20 +53,6 @@ class Fig10Result:
             if pair.model == model and pair.dataset == dataset:
                 return pair
         raise KeyError(f"{model}/{dataset}")
-
-
-def element_density(workload: ModelWorkload, scale: ExperimentScale) -> float:
-    """Element-weighted Level 2 density of an in-memory workload.
-
-    Library helper for freshly extracted workloads; :func:`run_fig10`
-    computes the same quantity through the sweep engine.
-    """
-    calibration = calibrate_workload(workload, scale)
-    pairs = []
-    for layer in workload:
-        decomposition = calibration[layer.name].decompose(layer.activations)
-        pairs.append((sparsity_breakdown(decomposition), layer.activations.size))
-    return aggregate_breakdowns(pairs).level2_density
 
 
 def run_fig10(

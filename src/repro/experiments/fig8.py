@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 from ..baselines.registry import BASELINE_ORDER
 from ..core.metrics import geometric_mean
-from ..runner.engine import SweepEngine, SweepPoint, WorkloadSpec, aligned_workload
+from ..runner.engine import SweepEngine, SweepPoint, WorkloadSpec
 from .common import SMALL, ExperimentScale
 
 #: Default Fig. 8 workload list (subset of the paper's 12 pairs chosen to
@@ -93,25 +93,6 @@ class Fig8Result:
             if values:
                 result[accel] = geometric_mean(values)
         return result
-
-
-def apply_paft_to_workload(
-    workload,
-    scale: ExperimentScale,
-    *,
-    alignment_strength: float = 0.5,
-    seed: int = 0,
-):
-    """Produce the post-PAFT version of a workload.
-
-    Pattern-aware fine-tuning pushes activations towards their assigned
-    patterns; the aligner applies that statistical effect directly to the
-    recorded spike matrices (see :class:`repro.core.paft.ActivationAligner`
-    and :func:`repro.runner.aligned_workload`, which this wraps).
-    """
-    return aligned_workload(
-        workload, scale.phi_config(), strength=alignment_strength, seed=seed
-    )
 
 
 def _workload_points(

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..runner.engine import SweepEngine
-from ..workloads.temporal import cached_temporal_workload, temporal_density_profile
+from ..workloads.generator import cached_workload
+from ..workloads.temporal import temporal_density_profile
 from .common import SMALL, ExperimentScale
 from .fig8 import Fig8Result, WorkloadComparison, _compare_specs
 
@@ -58,11 +59,12 @@ def run_temporal(
     for comparison in _compare_specs(
         specs, scale, paft_strength, engine or SweepEngine()
     ):
-        workload = cached_temporal_workload(
+        workload = cached_workload(
             comparison.model,
             comparison.dataset,
             batch_size=scale.batch_size,
             num_steps=scale.num_steps,
+            temporal=True,
         )
         result.comparisons.append(
             TemporalComparison(

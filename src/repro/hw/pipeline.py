@@ -299,11 +299,6 @@ class RunResult(DerivedMetricsMixin):
             self.frequency_hz = self.config.frequency_hz
 
     @property
-    def key(self) -> str:
-        """Canonical workload identifier."""
-        return f"{self.model_name}/{self.dataset_name}"
-
-    @property
     def energy(self) -> EnergyBreakdown:
         """Total energy: run-level when set, else summed over layers."""
         if self.run_energy is not None:
@@ -317,16 +312,6 @@ class RunResult(DerivedMetricsMixin):
     def core_energy(self) -> float:
         """Core (compute logic) energy in Joules."""
         return self.energy.core
-
-    @property
-    def buffer_energy(self) -> float:
-        """On-chip buffer energy in Joules."""
-        return self.energy.buffer
-
-    @property
-    def dram_energy(self) -> float:
-        """Off-chip DRAM energy in Joules."""
-        return self.energy.dram
 
     def energy_breakdown(self) -> dict[str, float]:
         """Core / buffer / DRAM energy split (Joules)."""

@@ -52,7 +52,6 @@ from ..hw.energy import PhiEnergyModel
 from ..hw.pipeline import AcceleratorModel, LayerResult, RunResult
 from ..hw.simulator import PhiSimulator
 from ..workloads.generator import cached_workload, generate_random_workload
-from ..workloads.temporal import cached_temporal_workload
 from ..workloads.workload import LayerWorkload, ModelWorkload
 from .cache import ResultCache, cache_key
 from .store import (
@@ -95,8 +94,8 @@ class WorkloadSpec:
         Forwarded to the workload generator.
     paft_strength:
         When set, selects the post-PAFT variant: the activations are
-        aligned towards the patterns calibrated on the *original* workload,
-        mirroring :func:`repro.experiments.fig8.apply_paft_to_workload`.
+        aligned towards the patterns calibrated on the *original* workload
+        (see :func:`aligned_workload`).
     paft_seed:
         Seed of the PAFT alignment sampling.
     density, dims:
@@ -586,14 +585,14 @@ def _base_workload(spec: WorkloadSpec) -> ModelWorkload:
     if spec.is_random:
         m, k, n = spec.dims
         return _random_workload(spec.density, m, k, n, spec.seed, spec.model)
-    generator = cached_temporal_workload if spec.temporal else cached_workload
-    return generator(
+    return cached_workload(
         spec.model,
         spec.dataset,
         batch_size=spec.batch_size,
         num_steps=spec.num_steps,
         seed=spec.seed,
         split=spec.split,
+        temporal=spec.temporal,
     )
 
 

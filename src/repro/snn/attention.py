@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import Layer, LIFLayer, Linear, MatmulLayer
+from .layers import Layer, LIFLayer, Linear
 from .surrogate import ArctanSurrogate
 
 
@@ -71,10 +71,6 @@ class SpikingSelfAttention(Layer):
             self.out_proj,
             self.out_lif,
         ]
-
-    def matmul_layers(self) -> list[MatmulLayer]:
-        """All GEMM layers inside the block."""
-        return [self.q_proj, self.k_proj, self.v_proj, self.out_proj]
 
     def _split_heads(self, x: np.ndarray, batch: int, tokens: int) -> np.ndarray:
         return x.reshape(batch, tokens, self.num_heads, self.head_dim).transpose(
@@ -151,28 +147,6 @@ class SpikingSelfAttention(Layer):
         grad_in += self.v_proj.backward(self.v_lif.backward(grad_v))
         return grad_in.reshape(batch, tokens, self.embed_dim)
 
-    def reset_state(self) -> None:
-        for child in self.children():
-            child.reset_state()
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        params = {}
-        for child in self.matmul_layers():
-            for key, value in child.parameters().items():
-                params[f"{child.name}.{key}"] = value
-        return params
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        grads = {}
-        for child in self.matmul_layers():
-            for key, value in child.gradients().items():
-                grads[f"{child.name}.{key}"] = value
-        return grads
-
-    def zero_gradients(self) -> None:
-        for child in self.matmul_layers():
-            child.zero_gradients()
-
 
 class SpikingMLP(Layer):
     """Two-layer spiking MLP used inside transformer blocks."""
@@ -198,9 +172,6 @@ class SpikingMLP(Layer):
     def children(self) -> list[Layer]:
         return [self.fc1, self.lif1, self.fc2, self.lif2]
 
-    def matmul_layers(self) -> list[MatmulLayer]:
-        return [self.fc1, self.fc2]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         self._last_shape = x.shape
@@ -214,28 +185,6 @@ class SpikingMLP(Layer):
         grad = self.fc2.backward(self.lif2.backward(grad))
         grad = self.fc1.backward(self.lif1.backward(grad))
         return grad.reshape(self._last_shape)
-
-    def reset_state(self) -> None:
-        for child in self.children():
-            child.reset_state()
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        params = {}
-        for child in self.matmul_layers():
-            for key, value in child.parameters().items():
-                params[f"{child.name}.{key}"] = value
-        return params
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        grads = {}
-        for child in self.matmul_layers():
-            for key, value in child.gradients().items():
-                grads[f"{child.name}.{key}"] = value
-        return grads
-
-    def zero_gradients(self) -> None:
-        for child in self.matmul_layers():
-            child.zero_gradients()
 
 
 class SpikingTransformerBlock(Layer):
@@ -262,9 +211,6 @@ class SpikingTransformerBlock(Layer):
     def children(self) -> list[Layer]:
         return [self.attention, self.mlp]
 
-    def matmul_layers(self) -> list[MatmulLayer]:
-        return self.attention.matmul_layers() + self.mlp.matmul_layers()
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         attn_out = self.attention.forward(x)
         residual = x + attn_out
@@ -275,23 +221,3 @@ class SpikingTransformerBlock(Layer):
         grad_output = np.asarray(grad_output, dtype=np.float64)
         grad_residual = grad_output + self.mlp.backward(grad_output)
         return grad_residual + self.attention.backward(grad_residual)
-
-    def reset_state(self) -> None:
-        self.attention.reset_state()
-        self.mlp.reset_state()
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        params = {}
-        for child in self.children():
-            params.update(child.parameters())
-        return params
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        grads = {}
-        for child in self.children():
-            grads.update(child.gradients())
-        return grads
-
-    def zero_gradients(self) -> None:
-        for child in self.children():
-            child.zero_gradients()

@@ -36,11 +36,17 @@ class Layer(ABC):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Backpropagate through the most recent forward call."""
 
+    def children(self) -> list["Layer"]:
+        """Sub-layers of a composite layer (empty for a leaf)."""
+        return []
+
     def reset_state(self) -> None:
         """Clear any temporal state (membranes, caches) between samples."""
+        for child in self.children():
+            child.reset_state()
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Trainable parameters of the layer."""
+        """Trainable parameters owned by this layer (not its children)."""
         return {}
 
     def gradients(self) -> dict[str, np.ndarray]:
@@ -48,7 +54,7 @@ class Layer(ABC):
         return {}
 
     def zero_gradients(self) -> None:
-        """Reset accumulated gradients to zero."""
+        """Reset this layer's accumulated gradients to zero."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -27,7 +27,6 @@ from .layers import (
     Layer,
     LIFLayer,
     Linear,
-    MatmulLayer,
     MaxPool2d,
 )
 from .network import SpikingNetwork
@@ -42,11 +41,6 @@ class ModelSpec:
     model_name: str
     dataset_name: str
     input_kind: str  # "image", "event", "text", or "sequence"
-
-    @property
-    def key(self) -> str:
-        """Canonical identifier, e.g. ``"vgg16/cifar10"``."""
-        return f"{self.model_name}/{self.dataset_name}"
 
 
 #: The model/dataset pairs evaluated in Fig. 8 and Table 4 of the paper.
@@ -163,9 +157,6 @@ class PatchEmbedding(Layer):
     def children(self) -> list[Layer]:
         return [self.conv, self.bn, self.lif]
 
-    def matmul_layers(self) -> list[MatmulLayer]:
-        return [self.conv]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         feature = self.lif.forward(self.bn.forward(self.conv.forward(x)))
         batch, channels, height, width = feature.shape
@@ -177,27 +168,6 @@ class PatchEmbedding(Layer):
         side = int(np.sqrt(tokens))
         grad_feature = grad.transpose(0, 2, 1).reshape(batch, channels, side, side)
         return self.conv.backward(self.bn.backward(self.lif.backward(grad_feature)))
-
-    def reset_state(self) -> None:
-        self.lif.reset_state()
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        params = {}
-        for child in (self.conv, self.bn):
-            for key, value in child.parameters().items():
-                params[f"{child.name}.{key}"] = value
-        return params
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        grads = {}
-        for child in (self.conv, self.bn):
-            for key, value in child.gradients().items():
-                grads[f"{child.name}.{key}"] = value
-        return grads
-
-    def zero_gradients(self) -> None:
-        self.conv.zero_gradients()
-        self.bn.zero_gradients()
 
 
 class SpikingResidualBlock(Layer):
@@ -241,12 +211,6 @@ class SpikingResidualBlock(Layer):
             layers.append(self.downsample)
         return layers
 
-    def matmul_layers(self) -> list[MatmulLayer]:
-        layers: list[MatmulLayer] = [self.conv1, self.conv2]
-        if self.downsample is not None:
-            layers.append(self.downsample)
-        return layers
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._last_input = np.asarray(x, dtype=np.float64)
         out = self.lif1.forward(self.bn1.forward(self.conv1.forward(x)))
@@ -260,28 +224,6 @@ class SpikingResidualBlock(Layer):
         grad_main = self.conv1.backward(self.bn1.backward(self.lif1.backward(grad_main)))
         grad_short = grad if self.downsample is None else self.downsample.backward(grad)
         return grad_main + grad_short
-
-    def reset_state(self) -> None:
-        self.lif1.reset_state()
-        self.lif2.reset_state()
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        params = {}
-        for child in self.children():
-            for key, value in child.parameters().items():
-                params[f"{child.name}.{key}"] = value
-        return params
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        grads = {}
-        for child in self.children():
-            for key, value in child.gradients().items():
-                grads[f"{child.name}.{key}"] = value
-        return grads
-
-    def zero_gradients(self) -> None:
-        for child in self.children():
-            child.zero_gradients()
 
 
 # --------------------------------------------------------------------- #

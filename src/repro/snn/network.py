@@ -22,9 +22,7 @@ def iter_layers(layers: Iterable[Layer]) -> list[Layer]:
     flat: list[Layer] = []
     for layer in layers:
         flat.append(layer)
-        children = getattr(layer, "children", None)
-        if callable(children):
-            flat.extend(iter_layers(children()))
+        flat.extend(iter_layers(layer.children()))
     return flat
 
 
@@ -124,11 +122,11 @@ class SpikingNetwork:
 
     def parameters(self) -> dict[str, np.ndarray]:
         """All trainable parameters keyed by ``layer_name.param_name``."""
-        params = {}
-        for layer in self.layers:
-            for key, value in layer.parameters().items():
-                params[f"{layer.name}.{key}"] = value
-        return params
+        return {
+            f"{layer.name}.{key}": value
+            for layer in self.all_layers()
+            for key, value in layer.parameters().items()
+        }
 
     def num_parameters(self) -> int:
         """Total number of scalar parameters."""
@@ -144,7 +142,7 @@ class SpikingNetwork:
 
     def zero_gradients(self) -> None:
         """Clear accumulated parameter gradients."""
-        for layer in self.layers:
+        for layer in self.all_layers():
             layer.zero_gradients()
 
     def set_training(self, training: bool) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import Layer, LIFLayer, Linear, MatmulLayer
+from .layers import Layer, LIFLayer, Linear
 
 
 class RecurrentSpikingCell(Layer):
@@ -75,10 +75,6 @@ class RecurrentSpikingCell(Layer):
         """Constituent layers (descended into by :func:`iter_layers`)."""
         return [self.input_proj, self.recurrent_proj, self.lif]
 
-    def matmul_layers(self) -> list[MatmulLayer]:
-        """The two GEMM projections captured during recording."""
-        return [self.input_proj, self.recurrent_proj]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
@@ -102,23 +98,5 @@ class RecurrentSpikingCell(Layer):
         return self.input_proj.backward(grad)
 
     def reset_state(self) -> None:
-        self.lif.reset_state()
+        super().reset_state()
         self._hidden = None
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        params = {}
-        for child in (self.input_proj, self.recurrent_proj):
-            for key, value in child.parameters().items():
-                params[f"{child.name}.{key}"] = value
-        return params
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        grads = {}
-        for child in (self.input_proj, self.recurrent_proj):
-            for key, value in child.gradients().items():
-                grads[f"{child.name}.{key}"] = value
-        return grads
-
-    def zero_gradients(self) -> None:
-        self.input_proj.zero_gradients()
-        self.recurrent_proj.zero_gradients()

@@ -159,7 +159,7 @@ class SGDTrainer:
         return gradients, reg_total
 
     def _apply_gradients(self) -> None:
-        for layer in self.network.layers:
+        for layer in self.network.all_layers():
             params = layer.parameters()
             grads = layer.gradients()
             for key, param in params.items():

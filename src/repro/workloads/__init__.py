@@ -7,14 +7,7 @@ from .generator import (
     generate_workload,
     paper_workload_specs,
 )
-from .temporal import (
-    cached_temporal_workload,
-    extract_temporal_workload,
-    generate_temporal_workload,
-    split_timestep_name,
-    temporal_density_profile,
-    timestep_layer_name,
-)
+from .temporal import split_timestep_name, temporal_density_profile, timestep_layer_name
 from .workload import LayerWorkload, ModelWorkload
 
 __all__ = [
@@ -25,9 +18,6 @@ __all__ = [
     "cached_workload",
     "generate_random_workload",
     "paper_workload_specs",
-    "extract_temporal_workload",
-    "generate_temporal_workload",
-    "cached_temporal_workload",
     "temporal_density_profile",
     "timestep_layer_name",
     "split_timestep_name",

@@ -17,6 +17,7 @@ from ..datasets.synthetic import Dataset, make_dataset
 from ..snn.encoding import event_stream_encode
 from ..snn.models import PAPER_WORKLOADS, ModelSpec, build_model
 from ..snn.network import SpikingNetwork
+from .temporal import timestep_layer_name
 from .workload import LayerWorkload, ModelWorkload
 
 
@@ -49,6 +50,7 @@ def extract_workload(
     dataset_name: str = "custom",
     binary_only: bool = True,
     pre_encoded: bool = False,
+    temporal: bool = False,
 ) -> ModelWorkload:
     """Run ``inputs`` through ``network`` and capture every GEMM.
 
@@ -66,6 +68,12 @@ def extract_workload(
         skipped, matching the paper's focus on spike activations.
     pre_encoded:
         Set when ``inputs`` already carries the leading time dimension.
+    temporal:
+        Emit one GEMM per ``(layer, time step)``, named via
+        :func:`~repro.workloads.temporal.timestep_layer_name`
+        (``"rnn0.input@t2"``), instead of stacking a layer's steps into
+        one tall matrix.  Layer order is preserved and the steps of one
+        layer stay adjacent.
     """
     _, records = network.record_activations(inputs, pre_encoded=pre_encoded)
     matmul_layers = {layer.name: layer for layer in network.matmul_layers()}
@@ -75,15 +83,20 @@ def extract_workload(
             continue
         if binary_only and not record.is_binary:
             continue
-        activations = record.stacked()
-        weights = matmul_layers[layer_name].weight_matrix()
-        workload.add(
-            LayerWorkload(
-                name=layer_name,
-                activations=activations.astype(np.uint8),
-                weights=np.asarray(weights, dtype=np.float64),
+        weights = np.asarray(matmul_layers[layer_name].weight_matrix(), dtype=np.float64)
+        if temporal:
+            steps = [
+                (timestep_layer_name(layer_name, step), matrix)
+                for step, matrix in enumerate(record.matrices)
+            ]
+        else:
+            steps = [(layer_name, record.stacked())]
+        for name, activations in steps:
+            workload.add(
+                LayerWorkload(
+                    name=name, activations=activations.astype(np.uint8), weights=weights
+                )
             )
-        )
     return workload
 
 
@@ -95,8 +108,13 @@ def generate_workload(
     num_steps: int = 4,
     seed: int = 0,
     split: str = "test",
+    temporal: bool = False,
 ) -> ModelWorkload:
-    """Build model + dataset, run a batch, and return the recorded workload."""
+    """Build model + dataset, run a batch, and return the recorded workload.
+
+    ``temporal`` unrolls every GEMM per time step (see
+    :func:`extract_workload`).
+    """
     dataset = make_dataset(dataset_name)
     spec = ModelSpec(model_name, dataset_name, dataset.kind)
     network = _build_model_for_dataset(spec, dataset, num_steps=num_steps, seed=seed)
@@ -112,7 +130,11 @@ def generate_workload(
             [event_stream_encode(sample, num_steps) for sample in batch], axis=1
         )
     return extract_workload(
-        network, batch, dataset_name=dataset_name, pre_encoded=pre_encoded
+        network,
+        batch,
+        dataset_name=dataset_name,
+        pre_encoded=pre_encoded,
+        temporal=temporal,
     )
 
 
@@ -125,6 +147,7 @@ def cached_workload(
     num_steps: int = 4,
     seed: int = 0,
     split: str = "test",
+    temporal: bool = False,
 ) -> ModelWorkload:
     """Memoised version of :func:`generate_workload` (treat result as read-only)."""
     return generate_workload(
@@ -134,6 +157,7 @@ def cached_workload(
         num_steps=num_steps,
         seed=seed,
         split=split,
+        temporal=temporal,
     )
 
 

@@ -1,28 +1,22 @@
-"""Temporal workloads: per-timestep spike GEMMs kept separate.
+"""Temporal workloads: naming and density helpers for per-step GEMMs.
 
 The standard generator stacks a layer's recorded activations over time
 (``record.stacked()``) into one tall GEMM, which erases *when* each spike
 happened.  For recurrent models — whose sparsity structure varies step to
 step as membrane state accumulates — that distinction is the whole point,
-so this module unrolls each recorded time step into its own
+so :func:`~repro.workloads.generator.extract_workload` with
+``temporal=True`` unrolls each recorded time step into its own
 :class:`~repro.workloads.workload.LayerWorkload` whose name carries the
-step index (``"rnn0.input@t2"``).  The duplicate-layer-name guard in
-:meth:`~repro.workloads.workload.ModelWorkload.add` is what keeps this
+step index (``"rnn0.input@t2"``).  This module owns that naming scheme
+and the per-step density profile read back from an unrolled workload.
+The duplicate-layer-name guard in
+:meth:`~repro.workloads.workload.ModelWorkload.add` is what keeps the
 unrolling collision-free.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-import numpy as np
-
-from ..datasets.synthetic import make_dataset
-from ..snn.encoding import event_stream_encode
-from ..snn.models import ModelSpec
-from ..snn.network import SpikingNetwork
-from .generator import _build_model_for_dataset
-from .workload import LayerWorkload, ModelWorkload
+from .workload import ModelWorkload
 
 #: Separator between the base layer name and the time-step index.
 TIMESTEP_SEPARATOR = "@t"
@@ -44,90 +38,6 @@ def split_timestep_name(name: str) -> tuple[str, int | None]:
     if sep and suffix.isdigit():
         return base, int(suffix)
     return name, None
-
-
-def extract_temporal_workload(
-    network: SpikingNetwork,
-    inputs: np.ndarray,
-    *,
-    dataset_name: str = "custom",
-    binary_only: bool = True,
-    pre_encoded: bool = False,
-) -> ModelWorkload:
-    """Run ``inputs`` through ``network`` and capture every GEMM *per step*.
-
-    Mirrors :func:`~repro.workloads.generator.extract_workload`, but
-    instead of stacking each layer's recorded matrices it emits one
-    :class:`~repro.workloads.workload.LayerWorkload` per ``(layer, time
-    step)`` pair, named via :func:`timestep_layer_name`.  Layer order is
-    preserved and steps of one layer stay adjacent, so per-step sparsity
-    can be read straight off the workload summary.
-    """
-    _, records = network.record_activations(inputs, pre_encoded=pre_encoded)
-    matmul_layers = {layer.name: layer for layer in network.matmul_layers()}
-    workload = ModelWorkload(model_name=network.name, dataset_name=dataset_name)
-    for layer_name, record in records.items():
-        if not record.matrices:
-            continue
-        if binary_only and not record.is_binary:
-            continue
-        weights = np.asarray(matmul_layers[layer_name].weight_matrix(), dtype=np.float64)
-        for step, matrix in enumerate(record.matrices):
-            workload.add(
-                LayerWorkload(
-                    name=timestep_layer_name(layer_name, step),
-                    activations=matrix.astype(np.uint8),
-                    weights=weights,
-                )
-            )
-    return workload
-
-
-def generate_temporal_workload(
-    model_name: str,
-    dataset_name: str,
-    *,
-    batch_size: int = 4,
-    num_steps: int = 4,
-    seed: int = 0,
-    split: str = "test",
-) -> ModelWorkload:
-    """Build model + dataset and return the per-timestep unrolled workload."""
-    dataset = make_dataset(dataset_name)
-    spec = ModelSpec(model_name, dataset_name, dataset.kind)
-    network = _build_model_for_dataset(spec, dataset, num_steps=num_steps, seed=seed)
-
-    data = dataset.test_data if split == "test" else dataset.train_data
-    batch = data[:batch_size]
-    pre_encoded = dataset.kind in ("event", "sequence")
-    if pre_encoded:
-        batch = np.stack(
-            [event_stream_encode(sample, num_steps) for sample in batch], axis=1
-        )
-    return extract_temporal_workload(
-        network, batch, dataset_name=dataset_name, pre_encoded=pre_encoded
-    )
-
-
-@lru_cache(maxsize=32)
-def cached_temporal_workload(
-    model_name: str,
-    dataset_name: str,
-    *,
-    batch_size: int = 4,
-    num_steps: int = 4,
-    seed: int = 0,
-    split: str = "test",
-) -> ModelWorkload:
-    """Memoised :func:`generate_temporal_workload` (treat result as read-only)."""
-    return generate_temporal_workload(
-        model_name,
-        dataset_name,
-        batch_size=batch_size,
-        num_steps=num_steps,
-        seed=seed,
-        split=split,
-    )
 
 
 def temporal_density_profile(workload: ModelWorkload) -> dict[int, float]:

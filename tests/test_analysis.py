@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    activation_traffic,
     cluster_stats,
     distribution_overlap,
     expected_random_distance,
@@ -12,10 +11,14 @@ from repro.analysis import (
     pattern_histogram,
     top_pattern_coverage,
     tsne,
-    weight_traffic,
+)
+from repro.analysis.traffic import (
+    activation_traffic_from_layers,
+    weight_traffic_from_layers,
 )
 from repro.core import PhiConfig
 from repro.hw import ArchConfig, PhiSimulator
+from repro.runner.engine import summarize_run
 
 
 class TestTSNE:
@@ -101,21 +104,21 @@ class TestClustering:
 
 class TestTraffic:
     @pytest.fixture(scope="class")
-    def simulation(self, vgg_workload):
+    def layers(self, vgg_workload):
         simulator = PhiSimulator(
             ArchConfig(),
             PhiConfig(partition_size=16, num_patterns=32, calibration_samples=2000),
         )
-        return simulator.simulate(vgg_workload)
+        return summarize_run(simulator.simulate(vgg_workload))["layers"]
 
-    def test_activation_traffic(self, simulation):
-        traffic = activation_traffic(simulation)
+    def test_activation_traffic(self, layers):
+        traffic = activation_traffic_from_layers(layers)
         assert traffic.dense > 0
         assert traffic.phi_compressed < traffic.phi_uncompressed
         assert traffic.compressed_ratio < traffic.uncompressed_ratio
 
-    def test_weight_traffic(self, simulation):
-        traffic = weight_traffic(simulation)
+    def test_weight_traffic(self, layers):
+        traffic = weight_traffic_from_layers(layers)
         assert traffic.dense > 0
         # Without the prefetcher the PWP traffic dwarfs the dense weights.
         assert traffic.without_prefetch_ratio > 1.5

@@ -129,7 +129,8 @@ class TestAttention:
         x = (rng.random((2, 4, 16)) < 0.3).astype(float)
         out = block.forward(x)
         assert out.shape == x.shape
-        assert len(block.matmul_layers()) == 6  # q, k, v, out, fc1, fc2
+        # q, k, v, out, fc1, fc2
+        assert len(SpikingNetwork([block]).matmul_layers()) == 6
         grad = block.backward(np.ones_like(out))
         assert grad.shape == x.shape
 

@@ -7,6 +7,7 @@ from repro.core.calibration import PhiCalibrator
 from repro.core.config import PhiConfig
 from repro.core.paft import PAFTConfig
 from repro.snn.layers import LIFLayer, Linear
+from repro.snn.models import build_spikebert, build_spikformer, build_spiking_resnet
 from repro.snn.network import SpikingNetwork
 from repro.snn.training import SGDTrainer, cross_entropy, iterate_minibatches, softmax
 
@@ -117,3 +118,90 @@ class TestSGDTrainer:
     def test_evaluate_on_empty_returns_zero(self, tiny_network):
         trainer = SGDTrainer(tiny_network)
         assert trainer.evaluate(np.zeros((0, 16)), np.zeros(0, dtype=int)) == 0.0
+
+
+def _composite_networks():
+    """Tiny zoo networks built from every composite layer type."""
+    rng = np.random.default_rng(0)
+    images = rng.random((4, 3, 8, 8))
+    return {
+        # Stage 1 opens with a strided block, so it carries a downsample conv.
+        "resnet18": (
+            build_spiking_resnet(
+                image_size=8, channels=(4, 8), blocks_per_stage=1, num_steps=2,
+                threshold=0.5,
+            ),
+            images,
+        ),
+        "spikformer": (
+            build_spikformer(
+                image_size=8, embed_dim=8, depth=1, num_heads=2, num_steps=2
+            ),
+            images,
+        ),
+        "spikebert": (
+            build_spikebert(
+                vocab_size=16, seq_len=4, embed_dim=8, depth=1, num_heads=2,
+                num_steps=2,
+            ),
+            rng.integers(0, 16, size=(4, 4)),
+        ),
+    }
+
+
+#: ``num_parameters()`` of each tiny composite network.
+COMPOSITE_PARAMETER_COUNTS = {"resnet18": 1474, "spikformer": 1066, "spikebert": 714}
+
+
+class TestCompositeTraining:
+    """One SGD step through residual, patch-embedding and transformer trees."""
+
+    @pytest.fixture(params=sorted(COMPOSITE_PARAMETER_COUNTS))
+    def trained(self, request):
+        network, data = _composite_networks()[request.param]
+        before = {key: value.copy() for key, value in network.parameters().items()}
+        SGDTrainer(network, learning_rate=0.05, momentum=0.9).train_batch(
+            data, np.array([0, 1, 0, 1])
+        )
+        return request.param, network, before
+
+    @staticmethod
+    def _leaf_arrays(network, suffix: str = "") -> dict[str, np.ndarray]:
+        """Every weight/bias/gamma/beta (or ``*_grad``) array of every leaf."""
+        arrays = {}
+        for layer in network.all_layers():
+            if layer.children():
+                continue
+            for attr in ("weight", "bias", "gamma", "beta"):
+                value = getattr(layer, attr + suffix, None)
+                if isinstance(value, np.ndarray):
+                    arrays[f"{layer.name}.{attr}"] = value
+        return arrays
+
+    def test_parameters_hold_every_leaf_array_once(self, trained):
+        name, network, _ = trained
+        params = network.parameters()
+        leaves = self._leaf_arrays(network)
+        assert set(params) == set(leaves)
+        assert all(params[key] is leaves[key] for key in leaves)
+        assert len({id(value) for value in params.values()}) == len(params)
+        assert network.num_parameters() == COMPOSITE_PARAMETER_COUNTS[name]
+
+    def test_zero_gradients_zeroes_every_leaf_gradient(self, trained):
+        _, network, _ = trained
+        grads = self._leaf_arrays(network, "_grad")
+        assert any(np.any(grad) for grad in grads.values())
+        network.zero_gradients()
+        assert all(not np.any(grad) for grad in grads.values())
+
+    def test_every_parameter_with_a_gradient_moves(self, trained):
+        name, network, before = trained
+        grads = self._leaf_arrays(network, "_grad")
+        params = network.parameters()
+        moved = [key for key in params if np.any(grads[key])]
+        # The composite backward passes all reach their first GEMM.
+        first = {"resnet18": "stage0_block0.conv1", "spikformer": "patch_embed.proj",
+                 "spikebert": "embedding"}[name]
+        assert f"{first}.weight" in moved
+        for key in moved:
+            assert not np.array_equal(params[key], before[key]), key

@@ -18,10 +18,9 @@ from repro.runner import ArtifactStore, SweepEngine, SweepPoint, WorkloadSpec
 from repro.runner.cli import load_trace_npz
 from repro.runner.store import KIND_TRACE, KIND_WORKLOAD
 from repro.snn import RecurrentSpikingCell, build_spiking_rnn
+from repro.snn.network import SpikingNetwork
 from repro.workloads import (
-    extract_temporal_workload,
     extract_workload,
-    generate_temporal_workload,
     generate_workload,
     split_timestep_name,
     temporal_density_profile,
@@ -37,8 +36,8 @@ def rnn_workload():
 
 @pytest.fixture(scope="module")
 def rnn_temporal_workload():
-    return generate_temporal_workload(
-        "spikingrnn", "speechcmd", batch_size=2, num_steps=3
+    return generate_workload(
+        "spikingrnn", "speechcmd", batch_size=2, num_steps=3, temporal=True
     )
 
 
@@ -56,8 +55,6 @@ class TestRecurrentSpikingCell:
         assert np.array_equal(cell.forward(x), first)
 
     def test_recurrent_gemm_input_is_binary(self, rng):
-        from repro.snn.network import SpikingNetwork
-
         cell = RecurrentSpikingCell(8, 16, name="cell", rng=rng)
         network = SpikingNetwork([cell], num_steps=2)
         train = (rng.random((2, 4, 8)) < 0.5).astype(np.float64)
@@ -69,7 +66,7 @@ class TestRecurrentSpikingCell:
 
     def test_parameters_cover_both_projections(self, rng):
         cell = RecurrentSpikingCell(8, 16, name="cell", rng=rng)
-        params = cell.parameters()
+        params = SpikingNetwork([cell]).parameters()
         assert any(key.startswith("cell.input.") for key in params)
         assert any(key.startswith("cell.recurrent.") for key in params)
 
@@ -107,7 +104,7 @@ class TestTemporalUnrolling:
         network = build_spiking_rnn(num_features=16, hidden_sizes=(8,), num_steps=3)
         inputs = (np.random.default_rng(1).random((3, 4, 16)) < 0.3).astype(float)
         stacked = extract_workload(network, inputs, pre_encoded=True)
-        unrolled = extract_temporal_workload(network, inputs, pre_encoded=True)
+        unrolled = extract_workload(network, inputs, pre_encoded=True, temporal=True)
         by_base: dict[str, list[np.ndarray]] = {}
         for layer in unrolled:
             base, step = split_timestep_name(layer.name)
