@@ -35,15 +35,23 @@ class PTB(BaselineAccelerator):
     utilization = 0.70
 
     def _processed_positions(self, layer: LayerWorkload) -> int:
-        """Activation positions scheduled: whole windows with any spike."""
+        """Activation positions scheduled: whole windows with any spike.
+
+        K is zero-padded to whole windows and each row's window is read as
+        one unsigned integer, nonzero iff the window holds a spike; every
+        active window counts its true width (the last may be narrower).
+        """
+        if self.window not in (1, 2, 4, 8):
+            raise ValueError(f"PTB window must be 1, 2, 4 or 8, got {self.window}")
         activations = layer.activations
-        k = activations.shape[1]
-        processed = 0
-        for start in range(0, k, self.window):
-            block = activations[:, start : start + self.window]
-            active_rows = np.any(block, axis=1)
-            processed += int(active_rows.sum()) * block.shape[1]
-        return processed
+        m, k = activations.shape
+        num_windows = -(-k // self.window)
+        spikes = np.zeros((m, num_windows * self.window), dtype=np.uint8)
+        spikes[:, :k] = activations
+        active = spikes.view(f"u{self.window}") != 0
+        widths = np.full(num_windows, self.window, dtype=np.int64)
+        widths[-1:] = k - (num_windows - 1) * self.window
+        return int(np.count_nonzero(active, axis=0) @ widths)
 
     def layer_compute_cycles(self, layer: LayerWorkload) -> float:
         """Window-granular execution: an active window is fully processed."""

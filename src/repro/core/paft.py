@@ -169,14 +169,9 @@ class ActivationAligner:
             flip = mismatches & (
                 self._rng.random(mismatches.shape) < self.alignment_strength
             )
-            block = aligned[:, start:stop]
-            # Flipping a mismatching bit makes it equal to the pattern bit.
-            pattern_bits = np.zeros_like(block)
-            for i, idx in enumerate(tile.pattern_indices):
-                if idx != NO_PATTERN:
-                    pattern_bits[i] = tile.patterns.bits_of(int(idx))
-            block[flip] = pattern_bits[flip]
-            aligned[:, start:stop] = block
+            # Flipping a mismatching spike bit makes it equal to the
+            # pattern bit.
+            aligned[:, start:stop] ^= flip
         return aligned
 
     def align_model(

@@ -105,6 +105,10 @@ def _pack_job_key(config: ArchConfig, compressed: CompressedCounts) -> tuple:
     )
 
 
+#: ``_BANK_BIT[b]`` is bit ``b`` of a 64-bit bank-mask word.
+_BANK_BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
 def _pack_counts_lockstep(
     batch: list[CompressedCounts], capacity: int, num_windows: int, num_banks: int
 ) -> list[PackCounts]:
@@ -118,66 +122,73 @@ def _pack_counts_lockstep(
     Jobs are sorted by descending chunk count so each step only touches
     the still-active prefix; total work is proportional to the number of
     chunks, not ``B x max_steps``.
+
+    Per-row data stays in compact dtypes, and only a row's last chunk is
+    written into the dense ``(B, max_steps)`` schedule: every other slot
+    is a full chunk with no bank bit.  Only the last chunk of a psum row
+    claims a bank, and a full chunk fits only an empty window, which
+    holds no bank, so no other chunk's bank can matter; a slot's bank
+    bit is thus also its claim flag.
     """
     B = len(batch)
     row_counts = np.array([c.row_ids.size for c in batch], dtype=np.int64)
     needs = np.array([bool(c.needs_psum) for c in batch])
     if row_counts.sum() == 0:
         return [EMPTY_PACK_COUNTS] * B
-    row_job = np.repeat(np.arange(B), row_counts)
-    row_ids = np.concatenate(
-        [np.asarray(c.row_ids, dtype=np.int64) for c in batch if c.row_ids.size]
-    )
-    nnz = np.concatenate(
-        [np.asarray(c.row_nonzeros, dtype=np.int64) for c in batch if c.row_ids.size]
-    )
+    nonempty = [c for c in batch if c.row_ids.size]
+    row_ids = np.concatenate([c.row_ids for c in nonempty])
+    nnz = np.concatenate([c.row_nonzeros for c in nonempty])
+    row_job = np.repeat(np.arange(B, dtype=np.int32), row_counts)
     row_needs = needs[row_job]
+    weight_units = np.bincount(row_job, weights=nnz, minlength=B).astype(np.int64)
 
     # Chunk expansion: a row wider than a pack splits into chunks of
     # ``capacity`` units plus a last one, and only the last chunk carries
     # the row's psum unit.  Every row yields at least one chunk.
-    total_units = nnz + row_needs
-    n_chunks = np.maximum((total_units + capacity - 1) // capacity, 1)
-    chunk_job = np.repeat(row_job, n_chunks)
-    num_chunks = int(n_chunks.sum())
-    row_start = np.zeros(n_chunks.size, dtype=np.int64)
-    np.cumsum(n_chunks[:-1], out=row_start[1:])
-    pos_in_row = np.arange(num_chunks) - np.repeat(row_start, n_chunks)
-    is_last = pos_in_row == np.repeat(n_chunks - 1, n_chunks)
-    last_size = total_units - (n_chunks - 1) * capacity
-    units = np.where(is_last, np.repeat(last_size, n_chunks), capacity)
-    bank = np.repeat(row_ids % num_banks, n_chunks)
-    has_psum = is_last & np.repeat(row_needs, n_chunks)
+    last_units = nnz.astype(np.int32)
+    del nnz
+    last_units += row_needs
+    n_chunks = np.maximum((last_units + (capacity - 1)) // capacity, 1)
+    last_units -= (n_chunks - 1) * capacity
+    chunk_end = np.cumsum(n_chunks, dtype=np.int64)
+    del n_chunks
+
+    # Chunks per job, from the running chunk count at each job's last row.
+    job_end = np.cumsum(row_counts)
+    job_chunk_end = np.where(job_end > 0, chunk_end[np.maximum(job_end - 1, 0)], 0)
+    steps = np.diff(job_chunk_end, prepend=0)
 
     # Sort jobs by descending chunk count so each lockstep step operates
     # on a shrinking active prefix.
-    steps = np.bincount(chunk_job, minlength=B)
     order = np.argsort(-steps, kind="stable")
     rank = np.empty(B, dtype=np.int64)
     rank[order] = np.arange(B)
     steps_desc = steps[order]
     max_steps = int(steps_desc[0])
 
-    # Dense (B, S) chunk schedules in sorted-job order; a chunk's bank
-    # bit is bit ``bank % 64`` of word ``bank // 64``.
+    # Flat position of each row's last chunk in the schedule: sorted job
+    # ``rank``, slot ``chunk_end - 1 - job_start``.
+    last_pos = chunk_end
+    last_pos += (rank * max_steps - (job_chunk_end - steps) - 1)[row_job]
+    del row_job
+    unit_dtype = np.int16 if capacity <= np.iinfo(np.int16).max else np.int32
+    unit_mat = np.full(B * max_steps, capacity, dtype=unit_dtype)
+    unit_mat[last_pos] = last_units
+    del last_units
+    # A bank is bit ``bank % 64`` of mask word ``bank // 64``.
     num_words = -(-num_banks // 64)
-    job_start = np.zeros(B, dtype=np.int64)
-    np.cumsum(steps[:-1], out=job_start[1:])
-    sorted_job = rank[chunk_job]
-    slot = np.arange(num_chunks) - job_start[chunk_job]
-    unit_mat = np.zeros((B, max_steps), dtype=np.int64)
-    unit_mat[sorted_job, slot] = units
-    chunk_bit = np.uint64(1) << (bank % 64).astype(np.uint64)
-    bit_mat = np.zeros((B, max_steps, num_words), dtype=np.uint64)
-    bit_mat[sorted_job, slot, bank // 64] = chunk_bit
-    psum_mat = np.zeros((B, max_steps), dtype=bool)
-    psum_mat[sorted_job, slot] = has_psum
+    bank = row_ids[row_needs].astype(np.int32) % num_banks
+    del row_ids
+    bit_mat = np.zeros((B * max_steps, num_words), dtype=np.uint64)
+    bit_mat[last_pos[row_needs], bank // 64] = _BANK_BIT[bank % 64]
+    del bank, last_pos, row_needs
+    unit_mat = unit_mat.reshape(B, max_steps)
+    bit_mat = bit_mat.reshape(B, max_steps, num_words)
 
     used = np.zeros((B, num_windows), dtype=np.int64)
     bankmask = np.zeros((B, num_windows, num_words), dtype=np.uint64)
     finished = np.zeros(B, dtype=np.int64)
     evictions = np.zeros(B, dtype=np.int64)
-    needs_desc = needs[order][:, None]
     zero = np.uint64(0)
     indices = np.arange(B)
     for s in range(max_steps):
@@ -186,7 +197,7 @@ def _pack_counts_lockstep(
         bit = bit_mat[:n, s]
         used_n = used[:n]
         conflict = ((bankmask[:n] & bit[:, None, :]) != zero).any(axis=2)
-        ok = ((capacity - used_n) >= u[:, None]) & ~(needs_desc[:n] & conflict)
+        ok = ((capacity - used_n) >= u[:, None]) & ~conflict
         target = np.argmax(ok, axis=1)
         misfit = ~ok.any(axis=1)
         if misfit.any():
@@ -199,11 +210,10 @@ def _pack_counts_lockstep(
             bankmask[idx, victim] = zero
             target[idx] = victim
         used[indices[:n], target] += u
-        claim = np.flatnonzero(psum_mat[:n, s])
+        claim = np.flatnonzero(bit.any(axis=1))
         bankmask[claim, target[claim]] |= bit[claim]
     finished += (used > 0).sum(axis=1)
 
-    weight_units = np.bincount(row_job, weights=nnz, minlength=B).astype(np.int64)
     num_packs = finished[rank]
     num_evictions = evictions[rank]
     return [

@@ -130,34 +130,49 @@ def plan_preprocess(
 
     This is the simulator's compressor: the per-(M tile, partition)
     compressed counts — the tile-local ids and nonzero counts of the
-    Level 2 rows that survive zero-row filtering — are sliced out of one
-    whole-partition nonzero-count pass.  Only partitions after the first
-    carry a partial sum.
+    Level 2 rows that survive zero-row filtering — come out of one
+    vectorized pass over the layer's ``(M, partitions)`` nonzero counts.
+    Every job's ``row_ids`` and ``row_nonzeros`` are views into two
+    per-layer arrays in job order: ``int16`` ids (``int32`` for M tiles
+    over 32,768 rows) and counts in the smallest dtype that holds
+    ``tile_k``.  Only partitions after the first carry a partial sum.
     """
     boundaries = partition_boundaries(layer.k, arch.tile_k)
+    num_partitions = len(boundaries)
     m_tiles = [
         (m_start, min(m_start + arch.tile_m, layer.m))
         for m_start in range(0, layer.m, arch.tile_m)
     ]
-    nnz_per_row = [
-        np.count_nonzero(decomposition.tiles[p].level2, axis=1)
-        for p in range(len(boundaries))
+    # Rows padded to whole M tiles (padding rows count zero nonzeros, so
+    # the compressor drops them), then laid out job-major: M tile, then
+    # partition, then tile-local row.
+    nnz = np.zeros(
+        (len(m_tiles) * arch.tile_m, num_partitions),
+        dtype=np.min_scalar_type(arch.tile_k),
+    )
+    for p in range(num_partitions):
+        nnz[: layer.m, p] = np.count_nonzero(decomposition.tiles[p].level2, axis=1)
+    by_job = nnz.reshape(len(m_tiles), arch.tile_m, num_partitions).transpose(0, 2, 1)
+    by_job = by_job.reshape(-1, arch.tile_m)
+    kept = np.flatnonzero(by_job)
+    row_nonzeros = by_job.ravel()[kept]
+    row_ids = (kept % arch.tile_m).astype(
+        np.int16 if arch.tile_m <= 2**15 else np.int32
+    )
+    del kept
+    offsets = np.concatenate(([0], np.cumsum(np.count_nonzero(by_job, axis=1))))
+    offsets = offsets.tolist()
+    compressed = [
+        CompressedCounts(
+            row_ids=row_ids[start:stop],
+            row_nonzeros=row_nonzeros[start:stop],
+            needs_psum=job % num_partitions > 0,
+        )
+        for job, (start, stop) in enumerate(zip(offsets[:-1], offsets[1:]))
     ]
-    compressed: list[CompressedCounts] = []
-    for m_start, m_stop in m_tiles:
-        for p in range(len(boundaries)):
-            counts = nnz_per_row[p][m_start:m_stop]
-            kept = np.flatnonzero(counts)
-            compressed.append(
-                CompressedCounts(
-                    row_ids=kept,
-                    row_nonzeros=counts[kept],
-                    needs_psum=p > 0,
-                )
-            )
     return PreprocessPlan(
         m_tiles=m_tiles,
-        num_partitions=len(boundaries),
+        num_partitions=num_partitions,
         pattern_counts=tuple(
             pattern_set.num_patterns for pattern_set in calibration.pattern_sets
         ),

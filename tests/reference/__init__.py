@@ -12,5 +12,9 @@ bit for bit.  ``src/`` never imports from here.
 * ``preprocessor`` — the object-stream compressor, packer and L2 pack
   costing (``repro.hw`` runs per-row counters: ``plan_preprocess``,
   ``pack_counts_batch``, whose NumPy lockstep machine keeps a multi-word
-  bank mask per window, and ``L2Processor.pack_cycles_for``).
+  bank mask per window, and ``L2Processor.pack_cycles_for``);
+* ``baselines`` — PTB's per-window spike scan (``PTB._processed_positions``
+  reads each row's window as one unsigned integer);
+* ``paft`` — per-row PAFT alignment through ``PatternSet.bits_of``
+  (``ActivationAligner.align_layer`` flips the drawn bits with one XOR).
 """

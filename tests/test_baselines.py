@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference import baselines as reference_baselines
 
 from repro.baselines import (
     PTB,
@@ -18,6 +19,7 @@ from repro.baselines import (
 from repro.core import PhiConfig
 from repro.hw import RunResult
 from repro.workloads import generate_random_workload
+from repro.workloads.workload import LayerWorkload
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +140,30 @@ class TestCycleModels:
         ptb = PTB()
         layer = workload[0]
         assert ptb.layer_executed_accumulations(layer) >= paper_operations(layer)
+
+    @pytest.mark.parametrize("window", [1, 2, 4, 8])
+    @pytest.mark.parametrize("fill", ["random", "zeros", "ones"])
+    @pytest.mark.parametrize("k", [1, 3, 4, 37, 576])
+    def test_ptb_window_count_matches_per_window_oracle(self, k, fill, window):
+        rng = np.random.default_rng(k)
+        activations = {
+            "random": (rng.random((23, k)) < 0.1).astype(np.uint8),
+            "zeros": np.zeros((23, k), dtype=np.uint8),
+            "ones": np.ones((23, k), dtype=np.uint8),
+        }[fill]
+        ptb = PTB()
+        ptb.window = window
+        layer = LayerWorkload("layer", activations, np.ones((k, 2)))
+        assert ptb._processed_positions(layer) == (
+            reference_baselines.ptb_processed_positions(activations, window)
+        )
+
+    def test_ptb_rejects_window_wider_than_a_word(self):
+        ptb = PTB()
+        ptb.window = 3
+        layer = LayerWorkload("layer", np.ones((2, 6), dtype=np.uint8), np.ones((6, 2)))
+        with pytest.raises(ValueError, match="window"):
+            ptb.layer_compute_cycles(layer)
 
     def test_sato_load_imbalance_visible(self):
         workload = generate_random_workload(density=0.2, m=128, k=64, n=16, seed=3)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference import paft as reference_paft
 
 from repro.core.calibration import PhiCalibrator
 from repro.core.metrics import sparsity_breakdown
@@ -105,6 +106,19 @@ class TestActivationAligner:
         before = sparsity_breakdown(calibration.decompose(binary_matrix)).level2_density
         after = sparsity_breakdown(calibration.decompose(aligned)).level2_density
         assert after <= before
+
+    @pytest.mark.parametrize("strength", [0.0, 0.3, 1.0])
+    def test_align_layer_matches_per_row_oracle(
+        self, binary_matrix, calibration, strength
+    ):
+        aligner = ActivationAligner(alignment_strength=strength, seed=5)
+        oracle = ActivationAligner(alignment_strength=strength, seed=5)
+        assert np.any(calibration.decompose(binary_matrix).pattern_index_matrix() == 0)
+        np.testing.assert_array_equal(
+            aligner.align_layer(binary_matrix, calibration),
+            reference_paft.align_layer(oracle, binary_matrix, calibration),
+        )
+        assert aligner._rng.random() == oracle._rng.random()
 
     def test_output_stays_binary(self, binary_matrix, calibration):
         aligner = ActivationAligner(alignment_strength=0.7, seed=1)

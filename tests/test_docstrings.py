@@ -1,4 +1,5 @@
-"""Docstring enforcement for the public API (runner, report, service, hw).
+"""Docstring enforcement for the public API (runner, report, service, hw,
+baselines).
 
 A lightweight, dependency-free stand-in for ``pydocstyle``/``ruff``'s D
 rules (CI additionally runs ``ruff check --select D`` — see ruff.toml):
@@ -23,6 +24,7 @@ CHECKED_FILES = sorted(
     + list((SRC / "report").glob("*.py"))
     + list((SRC / "service").glob("*.py"))
     + list((SRC / "hw").glob("*.py"))
+    + list((SRC / "baselines").glob("*.py"))
     + [SRC / "experiments" / "registry.py", SRC / "experiments" / "common.py"]
 )
 

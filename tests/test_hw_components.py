@@ -5,6 +5,9 @@ The preprocessor tests check the counter-level path the simulator runs
 against the object-stream oracle in ``tests/reference/preprocessor.py``.
 """
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from reference import preprocessor as oracle
@@ -20,6 +23,7 @@ from repro.hw.l2_processor import L2Processor
 from repro.hw.neuron_array import SpikingNeuronArray
 from repro.hw.preprocessor import (
     EMPTY_PACK_COUNTS,
+    CompressedCounts,
     PackCounts,
     pack_counts_batch,
 )
@@ -294,6 +298,67 @@ class TestCountsFastPath:
                 ]
                 checked += 1
         assert checked == len(plan.m_tiles) * (2 if needs_psum else 1)
+
+    @pytest.mark.parametrize(
+        "tile_m, num_channels, rows, id_dtype",
+        [
+            # Row ids above 32,767 need the plan's wide row-id dtype.
+            (40_000, 64, 36_000, np.int32),
+            # int16 row ids under more psum banks than int16 holds.
+            (256, 40_000, 2_000, np.int16),
+        ],
+    )
+    def test_plan_dtypes_pack_like_the_oracle(
+        self, tile_m, num_channels, rows, id_dtype
+    ):
+        arch = ArchConfig(tile_m=tile_m, num_channels=num_channels)
+        level2 = (np.random.default_rng(3).random((rows, 16)) < 0.003).astype(np.int8)
+        level2[-1, 0] = 1
+        plan = plan_preprocess(
+            arch,
+            SimpleNamespace(pattern_sets=()),
+            SimpleNamespace(tiles=[SimpleNamespace(level2=level2)] * 2),
+            SimpleNamespace(m=rows, k=32),
+        )
+        assert plan.compressed[-1].row_ids[-1] == (rows - 1) % tile_m
+        jobs = iter(plan.compressed)
+        for m_start, m_stop in plan.m_tiles:
+            for p in range(2):
+                counts = next(jobs)
+                # Views into the layer's compact arrays.
+                assert counts.row_ids.dtype == id_dtype
+                assert counts.row_nonzeros.dtype == np.uint8
+                assert counts.row_ids.base is not None
+                want = oracle.compress(level2[m_start:m_stop], needs_psum=p > 0)
+                assert counts.row_ids.tolist() == [row.row_id for row in want.rows]
+                [got] = pack_counts_batch([(arch, counts)])
+                packed = oracle.pack_rows(arch, want.rows)
+                assert got.num_packs == len(packed.packs)
+                assert got.evictions == packed.evictions
+
+    def test_pack_batch_memory_per_compressed_row(self):
+        # A seeded fig7-sized batch: 2,400 jobs of 100-255 int16 rows with
+        # 1-16 nonzeros, so many rows span two 8-unit chunks, and every
+        # 9th job without a psum.  The packer keeps compact per-row
+        # arrays: its traced peak stays under 110 B per compressed row.
+        arch = ArchConfig()
+        rng = np.random.default_rng(0)
+        jobs = []
+        for j in range(2400):
+            rows = int(rng.integers(100, 256))
+            row_ids = np.sort(rng.choice(256, size=rows, replace=False))
+            row_ids = row_ids.astype(np.int16)
+            row_nonzeros = rng.integers(1, 17, size=rows).astype(np.uint8)
+            jobs.append((arch, CompressedCounts(row_ids, row_nonzeros, j % 9 != 0)))
+        total_rows = sum(counts.row_ids.size for _, counts in jobs)
+        tracemalloc.start()
+        try:
+            results = pack_counts_batch(jobs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == len(jobs)
+        assert peak / total_rows <= 110
 
     @pytest.mark.parametrize("needs_psum", [True, False])
     @pytest.mark.parametrize("windows", [1, 2, 4])

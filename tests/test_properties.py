@@ -334,6 +334,28 @@ def _random_level2(rows: int, width: int, density: float, seed: int) -> np.ndarr
     return np.where(nonzero, rng.choice([-1, 1], size=(rows, width)), 0).astype(np.int8)
 
 
+def _planned_counts(level2: np.ndarray, needs_psum: bool):
+    """``level2``'s compressed counts as ``plan_preprocess`` lays them out.
+
+    The tile is both partitions of a one-M-tile layer, so the plan's
+    second job carries a psum and its first does not.  The result holds
+    views into the plan's compact per-layer arrays.
+    """
+    from types import SimpleNamespace
+
+    from repro.hw.config import ArchConfig
+    from repro.hw.simulator import plan_preprocess
+
+    rows, width = level2.shape
+    plan = plan_preprocess(
+        ArchConfig(tile_m=rows, tile_k=width),
+        SimpleNamespace(pattern_sets=()),
+        SimpleNamespace(tiles=[SimpleNamespace(level2=level2)] * 2),
+        SimpleNamespace(m=rows, k=2 * width),
+    )
+    return plan.compressed[int(needs_psum)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     jobs=pack_jobs,
@@ -348,7 +370,9 @@ def test_pack_counts_batch_matches_oracle_pack_rows(jobs, repeats):
     One batch mixes machine configurations and repeats some jobs, either
     exactly (the dedup path) or under another window count (which must
     not dedup).  It always carries jobs with 65 and 129 psum banks, whose
-    bank masks span two and three 64-bit words.
+    bank masks span two and three 64-bit words, and a job whose rows span
+    up to five chunks.  Every other job comes from ``plan_preprocess``,
+    so int64 oracle counts and the plan's compact dtypes share a batch.
     """
     from reference import preprocessor as oracle
 
@@ -377,12 +401,20 @@ def test_pack_counts_batch_matches_oracle_pack_rows(jobs, repeats):
         tall[np.arange(sequence.size) * channels + sequence, 0] = 1
         arch = ArchConfig(pack_size=16, packer_windows=1, num_channels=channels)
         cases.append((arch, tall, True))
+    # Rows of up to 16 nonzeros plus a psum span up to five 4-unit chunks.
+    arch = ArchConfig(pack_size=4, packer_windows=2, num_channels=8)
+    cases.append((arch, _random_level2(40, 16, 0.9, 1), True))
 
     compressed = [oracle.compress(level2, needs_psum=psum) for _, level2, psum in cases]
     batch = pack_counts_batch(
         [
-            (arch, oracle.counts_of(rows, psum))
-            for (arch, _, psum), rows in zip(cases, compressed)
+            (
+                arch,
+                _planned_counts(level2, psum)
+                if i % 2 and level2.shape[0]
+                else oracle.counts_of(rows, psum),
+            )
+            for i, ((arch, level2, psum), rows) in enumerate(zip(cases, compressed))
         ]
     )
     assert len(batch) == len(cases)
