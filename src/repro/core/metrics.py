@@ -20,7 +20,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .patterns import NO_PATTERN
 from .sparsity import MatrixDecomposition
 
 
@@ -69,55 +68,6 @@ class SparsityBreakdown:
             "level2_positive_density": self.level2_positive_density,
             "level2_negative_density": self.level2_negative_density,
         }
-
-
-@dataclass(frozen=True)
-class _DecompositionTotals:
-    """Integer masses every density/operation metric derives from.
-
-    Collected in ONE pass over the tiles (see
-    :func:`_decomposition_totals`) — the per-property loops of
-    :class:`~repro.core.sparsity.MatrixDecomposition` recompute these
-    sums per access, which dominates the metric cost on many-tile
-    layers.  Positive/negative correction counts come from the exact
-    identities ``pos = (nnz + signed) / 2`` and ``neg = (nnz - signed)
-    / 2`` (Level 2 values are in {-1, 0, +1}), so no ``== 1`` / ``== -1``
-    temporaries are materialised.
-    """
-
-    elements: int
-    ones: int
-    rows: int
-    assigned: int
-    pattern_bit_mass: int
-    level2_nonzeros: int
-    level2_positive: int
-    level2_negative: int
-
-
-def _decomposition_totals(decomposition: MatrixDecomposition) -> _DecompositionTotals:
-    elements = ones = rows = assigned = pattern_mass = nnz = signed = 0
-    for tile in decomposition.tiles:
-        elements += tile.original.size
-        ones += int(np.count_nonzero(tile.original))
-        rows += tile.num_rows
-        used = tile.pattern_indices[tile.pattern_indices != NO_PATTERN]
-        assigned += used.size
-        if used.size:
-            popcounts = tile.patterns.matrix.sum(axis=1)
-            pattern_mass += int(popcounts[used - 1].sum())
-        nnz += int(np.count_nonzero(tile.level2))
-        signed += int(tile.level2.sum(dtype=np.int64))
-    return _DecompositionTotals(
-        elements=elements,
-        ones=ones,
-        rows=rows,
-        assigned=assigned,
-        pattern_bit_mass=pattern_mass,
-        level2_nonzeros=nnz,
-        level2_positive=(nnz + signed) // 2,
-        level2_negative=(nnz - signed) // 2,
-    )
 
 
 def sparsity_breakdown(decomposition: MatrixDecomposition) -> SparsityBreakdown:
@@ -182,29 +132,44 @@ def operation_counts(decomposition: MatrixDecomposition) -> OperationCounts:
 def decomposition_metrics(
     decomposition: MatrixDecomposition,
 ) -> tuple[OperationCounts, SparsityBreakdown]:
-    """Operation counts and density breakdown from ONE tile pass.
+    """Operation counts and density breakdown, read off the decomposition's counts.
 
     The two metric families share every underlying integer mass, so
     callers that need both (the engine's decomposition records) should
     use this instead of calling :func:`operation_counts` and
-    :func:`sparsity_breakdown` separately and paying the pass twice.
+    :func:`sparsity_breakdown` separately and reading the decomposition twice.
     """
-    totals = _decomposition_totals(decomposition)
+    # Every mass is an integer read off the activations, the pattern
+    # indices (NO_PATTERN is 0) and the per-row Level 2 counts; Level 2
+    # itself is never built.  Its values are in {-1, 0, +1} and sum to
+    # ones minus the pattern bit mass, which splits the nonzeros into
+    # +1 and -1 corrections.
+    elements = decomposition.activations.size
+    ones = int(np.count_nonzero(decomposition.activations))
+    rows = decomposition.pattern_indices.size
+    assigned = int(np.count_nonzero(decomposition.pattern_indices))
+    pattern_mass = 0  # popcounts of the assigned patterns (row 0: none)
+    for p, pattern_set in enumerate(decomposition.pattern_sets):
+        popcounts = np.zeros(pattern_set.num_patterns + 1, dtype=np.int64)
+        popcounts[1:] = pattern_set.matrix.sum(axis=1)
+        pattern_mass += int(popcounts[decomposition.pattern_indices[:, p]].sum())
+    nonzeros = int(decomposition.level2_nonzeros.sum(dtype=np.int64))
+    signed = ones - pattern_mass
     counts = OperationCounts(
-        dense_ops=totals.elements,
-        bit_sparse_ops=totals.ones,
-        phi_level1_ops=totals.assigned,
-        phi_level2_ops=totals.level2_nonzeros,
+        dense_ops=elements,
+        bit_sparse_ops=ones,
+        phi_level1_ops=assigned,
+        phi_level2_ops=nonzeros,
     )
-    if totals.elements == 0:
+    if elements == 0:
         return counts, SparsityBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     return counts, SparsityBreakdown(
-        bit_density=totals.ones / totals.elements,
-        level1_density=totals.pattern_bit_mass / totals.elements,
-        level1_vector_density=totals.assigned / totals.rows,
-        level2_density=totals.level2_nonzeros / totals.elements,
-        level2_positive_density=totals.level2_positive / totals.elements,
-        level2_negative_density=totals.level2_negative / totals.elements,
+        bit_density=ones / elements,
+        level1_density=pattern_mass / elements,
+        level1_vector_density=assigned / rows,
+        level2_density=nonzeros / elements,
+        level2_positive_density=(nonzeros + signed) // 2 / elements,
+        level2_negative_density=(nonzeros - signed) // 2 / elements,
     )
 
 

@@ -76,9 +76,8 @@ def layer_regularizer(
     """
     if output_width < 1:
         raise ValueError("output_width must be >= 1")
-    decomposition = calibration.decompose(activations)
-    nnz = sum(int(np.count_nonzero(t.level2)) for t in decomposition.tiles)
-    return float(output_width * nnz)
+    nnz = calibration.decompose(activations).level2_nonzeros.sum(dtype=np.int64)
+    return float(output_width * int(nnz))
 
 
 def paft_regularizer(

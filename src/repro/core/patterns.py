@@ -53,9 +53,19 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
     the padding bits are zero, so comparing two rows' words in order
     compares the rows lexicographically.
     """
-    padded = np.zeros((rows.shape[0], 64 * max(1, -(-rows.shape[1] // 64))), dtype=np.uint8)
-    padded[:, : rows.shape[1]] = rows
-    return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
+    num_rows, width = rows.shape
+    # Rows padded to whole bytes form one flat bit stream, so a single
+    # flat packbits packs them all; zero bytes then pad each row to
+    # whole words.  Nothing wider than the packed words is allocated.
+    if width % 8:
+        bits = np.zeros((num_rows, 8 * -(-width // 8)), dtype=np.uint8)
+        bits[:, :width] = rows
+    else:
+        bits = np.ascontiguousarray(rows, dtype=np.uint8)
+    row_bytes = bits.shape[1] // 8
+    packed = np.zeros((num_rows, 8 * max(1, -(-width // 64))), dtype=np.uint8)
+    packed[:, :row_bytes] = np.packbits(bits.reshape(-1)).reshape(num_rows, row_bytes)
+    return packed.view(">u8").astype(np.uint64)
 
 
 def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +163,9 @@ class PatternSet:
 
     def __init__(self, patterns: np.ndarray) -> None:
         self._matrix = _validate_binary(patterns, "patterns")
-        self._packed: np.ndarray | None = None  # pack_rows words, on first match
+        # pack_rows words of an all-zero row 0 (NO_PATTERN) and then the
+        # patterns, built on first use.
+        self._packed: np.ndarray | None = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -241,9 +253,30 @@ class PatternSet:
                 f"rows width {rows.shape[1]} does not match pattern width "
                 f"{self.width}"
             )
+        return hamming_packed(pack_rows(rows), self._packed_table()[1:])
+
+    def assigned_distances(self, rows: np.ndarray, pattern_indices: np.ndarray) -> np.ndarray:
+        """Hamming distance of each row to its own assigned pattern.
+
+        Row ``i`` is compared with the pattern of 1-based index
+        ``pattern_indices[i]``; ``NO_PATTERN`` compares with the all-zero
+        row, which gives the row's popcount.  That distance is the row's
+        Level 2 nonzero count, so one XOR popcount of the packed words
+        counts a decomposition without building its Level 2 matrix.
+        ``rows`` must be binary (it is not checked); the counts come out
+        in the smallest unsigned dtype that holds the pattern width.
+        """
+        table = self._packed_table()
+        return np.bitwise_count(pack_rows(rows) ^ table[pattern_indices]).sum(
+            axis=1, dtype=np.min_scalar_type(self.width)
+        )
+
+    def _packed_table(self) -> np.ndarray:
         if self._packed is None:
-            self._packed = pack_rows(self._matrix)
-        return hamming_packed(pack_rows(rows), self._packed)
+            self._packed = pack_rows(
+                np.concatenate([np.zeros((1, self.width), np.uint8), self._matrix])
+            )
+        return self._packed
 
     def memory_bits(self) -> int:
         """Storage cost of the pattern set itself in bits."""

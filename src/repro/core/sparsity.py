@@ -32,9 +32,12 @@ class TileDecomposition:
         1-D integer array of length ``M``.  Entry ``i`` is the 1-based
         index of the pattern assigned to row ``i``, or ``0`` when no
         pattern is assigned (the row is carried entirely by Level 2).
-    level2:
-        ``(M, k)`` int8 matrix with values in {-1, 0, +1}: the bidirectional
-        correction terms.
+    level2_nonzeros:
+        1-D unsigned array of length ``M``: the number of nonzero Level 2
+        corrections of each row, i.e. its Hamming distance to its pattern
+        (its popcount when no pattern is assigned).  Every counting
+        consumer (metrics, the preprocessor plan, DRAM traffic) reads
+        these instead of the Level 2 matrix.
     patterns:
         The :class:`PatternSet` used for the decomposition.
     original:
@@ -43,7 +46,7 @@ class TileDecomposition:
     """
 
     pattern_indices: np.ndarray
-    level2: np.ndarray
+    level2_nonzeros: np.ndarray
     patterns: PatternSet
     original: np.ndarray
 
@@ -57,16 +60,25 @@ class TileDecomposition:
 
         Rows are decomposed independently (the best pattern of a row does
         not depend on other rows), so slicing an existing decomposition is
-        exactly equivalent to decomposing the row slice from scratch.  The
-        simulator uses this to hand per-M-tile views of the layer-level
-        decomposition to the preprocessor instead of re-matching.
+        exactly equivalent to decomposing the row slice from scratch.
         """
         return TileDecomposition(
             pattern_indices=self.pattern_indices[start:stop],
-            level2=self.level2[start:stop],
+            level2_nonzeros=self.level2_nonzeros[start:stop],
             patterns=self.patterns,
             original=self.original[start:stop],
         )
+
+    @property
+    def level2(self) -> np.ndarray:
+        """The ``(M, k)`` int8 Level 2 matrix, values in {-1, 0, +1}.
+
+        Built on each access from the tile and its Level 1 rows: only
+        :meth:`reconstruct`, :meth:`compute_output` and PAFT need the
+        correction elements themselves.
+        """
+        level1 = _level1_rows(self.patterns, self.pattern_indices)
+        return (self.original.astype(np.int16) - level1).astype(np.int8)
 
     def level1_matrix(self) -> np.ndarray:
         """Materialise the Level 1 matrix (each row a pattern or zeros)."""
@@ -94,9 +106,9 @@ class TileDecomposition:
     @property
     def level2_density(self) -> float:
         """Fraction of nonzero elements in the Level 2 matrix."""
-        if self.level2.size == 0:
+        if self.original.size == 0:
             return 0.0
-        return float(np.count_nonzero(self.level2) / self.level2.size)
+        return float(self.level2_nonzeros.sum(dtype=np.int64) / self.original.size)
 
     def compute_output(self, weight_tile: np.ndarray, pwps: np.ndarray | None = None) -> np.ndarray:
         """Compute ``A_tile @ weight_tile`` via the Phi decomposition.
@@ -148,11 +160,19 @@ def decompose_tile(tile: np.ndarray, patterns: PatternSet) -> TileDecomposition:
     distances = patterns.match_counts(distinct)  # (distinct, q) Hamming distances
     best_pattern = distances.argmin(axis=1)  # 0-based
     best_distance = distances[np.arange(distinct.shape[0]), best_pattern]
+    popcounts = distinct.sum(axis=1, dtype=np.int64)
     # Assign a pattern only when it strictly reduces the number of runtime
-    # corrections compared to the plain bit-sparse row.
-    use_pattern = best_distance < distinct.sum(axis=1)
-    pattern_indices = np.where(use_pattern, best_pattern + 1, NO_PATTERN)[inverse]
-    return rebuild_tile(tile, patterns, pattern_indices)
+    # corrections compared to the plain bit-sparse row.  Either way the
+    # row's Level 2 count is the smaller of the two distances.
+    use_pattern = best_distance < popcounts
+    pattern_indices = np.where(use_pattern, best_pattern + 1, NO_PATTERN).astype(np.int32)
+    counts = np.minimum(best_distance, popcounts).astype(np.min_scalar_type(tile.shape[1]))
+    return TileDecomposition(
+        pattern_indices=pattern_indices[inverse],
+        level2_nonzeros=counts[inverse],
+        patterns=patterns,
+        original=tile,
+    )
 
 
 def _level1_rows(patterns: PatternSet, pattern_indices: np.ndarray) -> np.ndarray:
@@ -171,11 +191,11 @@ def rebuild_tile(
 ) -> TileDecomposition:
     """Reconstruct a tile decomposition from stored pattern assignments.
 
-    The Level 2 matrix is a deterministic function of the tile, the
+    The Level 2 counts are a deterministic function of the tile, the
     pattern set and the per-row assignments, so persisting only the
     assignments (see ``repro.runner.store``) and rebuilding here yields
-    the bit-exact :func:`decompose_tile` result at a fraction of its cost
-    (no Hamming matching).
+    the bit-exact :func:`decompose_tile` result at a fraction of its cost:
+    one XOR popcount per row instead of Hamming matching.
     """
     # No-copy when the caller already holds uint8 (workload activations
     # are, including memmap-backed store views) — the rebuild only reads.
@@ -185,10 +205,11 @@ def rebuild_tile(
         raise ValueError(
             f"pattern_indices must have shape ({tile.shape[0]},), got {indices.shape}"
         )
-    # Unassigned rows subtract nothing and keep their bit-sparse form.
-    level2 = (tile.astype(np.int16) - _level1_rows(patterns, indices)).astype(np.int8)
     return TileDecomposition(
-        pattern_indices=indices, level2=level2, patterns=patterns, original=tile
+        pattern_indices=indices,
+        level2_nonzeros=patterns.assigned_distances(tile, indices),
+        patterns=patterns,
+        original=tile,
     )
 
 
@@ -209,27 +230,51 @@ def rebuild_decomposition(
     partition_size:
         Partition width ``k`` used during calibration.
     pattern_index_matrix:
-        The ``(M, num_partitions)`` assignment matrix produced by
-        :meth:`MatrixDecomposition.pattern_index_matrix`.
+        The ``(M, num_partitions)`` assignment matrix of a decomposition
+        (:attr:`MatrixDecomposition.pattern_indices`).
 
     Returns
     -------
     MatrixDecomposition
         Bit-exact equal to ``decompose_matrix(activations, pattern_sets,
-        partition_size)``.
+        partition_size)``.  Neither ``activations`` nor the assignment
+        matrix is copied when it is already ``uint8`` / ``int32`` (a
+        store's mapped payload stays mapped); only the Level 2 counts are
+        new.
     """
-    activations = np.asarray(activations)
+    activations = np.asarray(activations, dtype=np.uint8)
     boundaries = partition_boundaries(activations.shape[1], partition_size)
     if len(pattern_sets) != len(boundaries):
         raise ValueError(
             f"expected {len(boundaries)} pattern sets, got {len(pattern_sets)}"
         )
-    indices = np.asarray(pattern_index_matrix)
-    tiles = tuple(
-        rebuild_tile(activations[:, start:stop], pattern_set, indices[:, p])
-        for p, (pattern_set, (start, stop)) in enumerate(zip(pattern_sets, boundaries))
+    indices = np.asarray(pattern_index_matrix, dtype=np.int32)
+    if indices.shape != (activations.shape[0], len(boundaries)):
+        raise ValueError(
+            f"pattern_index_matrix must have shape "
+            f"({activations.shape[0]}, {len(boundaries)}), got {indices.shape}"
+        )
+    counts = _count_matrix(activations.shape[0], boundaries)
+    for p, (pattern_set, (start, stop)) in enumerate(zip(pattern_sets, boundaries)):
+        tile = rebuild_tile(activations[:, start:stop], pattern_set, indices[:, p])
+        counts[:, p] = tile.level2_nonzeros
+    return MatrixDecomposition(
+        activations=activations,
+        pattern_sets=tuple(pattern_sets),
+        boundaries=tuple(boundaries),
+        pattern_indices=indices,
+        level2_nonzeros=counts,
     )
-    return MatrixDecomposition(tiles=tiles, boundaries=tuple(boundaries))
+
+
+def _count_matrix(num_rows: int, boundaries: Sequence[tuple[int, int]]) -> np.ndarray:
+    """An empty ``(M, partitions)`` Level 2 count matrix.
+
+    Its dtype is the smallest unsigned one that holds the widest
+    partition, as for a single tile's counts.
+    """
+    widest = max(stop - start for start, stop in boundaries)
+    return np.empty((num_rows, len(boundaries)), dtype=np.min_scalar_type(widest))
 
 
 def partition_boundaries(total_width: int, partition_size: int) -> list[tuple[int, int]]:
@@ -255,26 +300,56 @@ def partition_boundaries(total_width: int, partition_size: int) -> list[tuple[in
 class MatrixDecomposition:
     """Phi decomposition of a full (M x K) binary activation matrix.
 
+    The per-row results of every partition live in two ``(M,
+    partitions)`` matrices; :attr:`tiles` hands out per-partition column
+    views of them.
+
     Attributes
     ----------
-    tiles:
-        One :class:`TileDecomposition` per K partition, in column order.
+    activations:
+        The ``(M, K)`` uint8 activation matrix.
+    pattern_sets:
+        One :class:`PatternSet` per K partition, in column order.
     boundaries:
-        The column ranges covered by each tile.
+        The column ranges covered by each partition.
+    pattern_indices:
+        ``(M, partitions)`` int32 matrix of assigned 1-based pattern
+        indices (``NO_PATTERN`` for none) — what the store persists.
+    level2_nonzeros:
+        ``(M, partitions)`` unsigned matrix of Level 2 nonzeros per row
+        and partition.
     """
 
-    tiles: tuple[TileDecomposition, ...]
+    activations: np.ndarray
+    pattern_sets: tuple[PatternSet, ...]
     boundaries: tuple[tuple[int, int], ...]
+    pattern_indices: np.ndarray
+    level2_nonzeros: np.ndarray
 
     @property
     def num_rows(self) -> int:
         """Number of activation rows M."""
-        return self.tiles[0].num_rows if self.tiles else 0
+        return int(self.activations.shape[0])
 
     @property
     def total_width(self) -> int:
         """Total reduction width K."""
-        return self.boundaries[-1][1] if self.boundaries else 0
+        return int(self.activations.shape[1])
+
+    @property
+    def tiles(self) -> tuple[TileDecomposition, ...]:
+        """One :class:`TileDecomposition` per K partition, as column views."""
+        return tuple(
+            TileDecomposition(
+                pattern_indices=self.pattern_indices[:, p],
+                level2_nonzeros=self.level2_nonzeros[:, p],
+                patterns=pattern_set,
+                original=self.activations[:, start:stop],
+            )
+            for p, (pattern_set, (start, stop)) in enumerate(
+                zip(self.pattern_sets, self.boundaries)
+            )
+        )
 
     def reconstruct(self) -> np.ndarray:
         """Reconstruct the full binary activation matrix."""
@@ -283,61 +358,29 @@ class MatrixDecomposition:
             out[:, start:stop] = tile.reconstruct()
         return out
 
-    def pattern_index_matrix(self) -> np.ndarray:
-        """The (M x num_partitions) matrix of assigned pattern indices."""
-        if not self.tiles:
-            return np.zeros((0, 0), dtype=np.int32)
-        return np.stack([tile.pattern_indices for tile in self.tiles], axis=1)
-
     # ------------------------------------------------------------------ #
     # Aggregate density metrics
     # ------------------------------------------------------------------ #
     @property
     def bit_density(self) -> float:
         """Fraction of 1 bits in the original activation matrix."""
-        total = sum(t.original.size for t in self.tiles)
-        if total == 0:
+        if self.activations.size == 0:
             return 0.0
-        ones = sum(int(t.original.sum()) for t in self.tiles)
-        return ones / total
+        return int(np.count_nonzero(self.activations)) / self.activations.size
 
     @property
     def level1_density(self) -> float:
         """Fraction of (row, partition) entries that carry a pattern."""
-        total = sum(t.num_rows for t in self.tiles)
-        if total == 0:
+        if self.pattern_indices.size == 0:
             return 0.0
-        assigned = sum(
-            int(np.count_nonzero(t.pattern_indices != NO_PATTERN)) for t in self.tiles
-        )
-        return assigned / total
+        return int(np.count_nonzero(self.pattern_indices)) / self.pattern_indices.size
 
     @property
     def level2_density(self) -> float:
         """Fraction of nonzero correction elements across all tiles."""
-        total = sum(t.level2.size for t in self.tiles)
-        if total == 0:
+        if self.activations.size == 0:
             return 0.0
-        nnz = sum(int(np.count_nonzero(t.level2)) for t in self.tiles)
-        return nnz / total
-
-    @property
-    def level2_positive_density(self) -> float:
-        """Fraction of +1 corrections across all tiles."""
-        total = sum(t.level2.size for t in self.tiles)
-        if total == 0:
-            return 0.0
-        nnz = sum(int(np.count_nonzero(t.level2 == 1)) for t in self.tiles)
-        return nnz / total
-
-    @property
-    def level2_negative_density(self) -> float:
-        """Fraction of -1 corrections across all tiles."""
-        total = sum(t.level2.size for t in self.tiles)
-        if total == 0:
-            return 0.0
-        nnz = sum(int(np.count_nonzero(t.level2 == -1)) for t in self.tiles)
-        return nnz / total
+        return int(self.level2_nonzeros.sum(dtype=np.int64)) / self.activations.size
 
     def compute_output(self, weights: np.ndarray) -> np.ndarray:
         """Compute ``A @ weights`` using the Phi decomposition tile by tile."""
@@ -377,7 +420,16 @@ def decompose_matrix(
             f"expected {len(boundaries)} pattern sets for K={activations.shape[1]} "
             f"and k={partition_size}, got {len(pattern_sets)}"
         )
-    tiles = []
-    for pattern_set, (start, stop) in zip(pattern_sets, boundaries):
-        tiles.append(decompose_tile(activations[:, start:stop], pattern_set))
-    return MatrixDecomposition(tiles=tuple(tiles), boundaries=tuple(boundaries))
+    indices = np.empty((activations.shape[0], len(boundaries)), dtype=np.int32)
+    counts = _count_matrix(activations.shape[0], boundaries)
+    for p, (pattern_set, (start, stop)) in enumerate(zip(pattern_sets, boundaries)):
+        tile = decompose_tile(activations[:, start:stop], pattern_set)
+        indices[:, p] = tile.pattern_indices
+        counts[:, p] = tile.level2_nonzeros
+    return MatrixDecomposition(
+        activations=activations.astype(np.uint8, copy=False),
+        pattern_sets=tuple(pattern_sets),
+        boundaries=tuple(boundaries),
+        pattern_indices=indices,
+        level2_nonzeros=counts,
+    )

@@ -131,7 +131,8 @@ def plan_preprocess(
     This is the simulator's compressor: the per-(M tile, partition)
     compressed counts — the tile-local ids and nonzero counts of the
     Level 2 rows that survive zero-row filtering — come out of one
-    vectorized pass over the layer's ``(M, partitions)`` nonzero counts.
+    vectorized pass over the decomposition's ``(M, partitions)`` Level 2
+    nonzero counts.
     Every job's ``row_ids`` and ``row_nonzeros`` are views into two
     per-layer arrays in job order: ``int16`` ids (``int32`` for M tiles
     over 32,768 rows) and counts in the smallest dtype that holds
@@ -150,13 +151,12 @@ def plan_preprocess(
         (len(m_tiles) * arch.tile_m, num_partitions),
         dtype=np.min_scalar_type(arch.tile_k),
     )
-    for p in range(num_partitions):
-        nnz[: layer.m, p] = np.count_nonzero(decomposition.tiles[p].level2, axis=1)
+    nnz[: layer.m] = decomposition.level2_nonzeros
     by_job = nnz.reshape(len(m_tiles), arch.tile_m, num_partitions).transpose(0, 2, 1)
     by_job = by_job.reshape(-1, arch.tile_m)
     kept = np.flatnonzero(by_job)
     row_nonzeros = by_job.ravel()[kept]
-    row_ids = (kept % arch.tile_m).astype(
+    row_ids = np.remainder(kept, arch.tile_m, out=kept).astype(
         np.int16 if arch.tile_m <= 2**15 else np.int32
     )
     del kept
@@ -259,7 +259,7 @@ class PhiComputeStage:
         """Accumulate L1/L2/neuron cycles over the M×N tile grid."""
         sim = self.simulator
         layer = ctx.layer
-        pattern_index_matrix = ctx.scratch["pattern_index_matrix"]
+        pattern_index_matrix = ctx.scratch["decomposition"].pattern_indices
         num_n_tiles = ctx.scratch["num_n_tiles"]
 
         compute_cycles = 0.0
@@ -311,8 +311,7 @@ class PhiDramStage:
         sim = self.simulator
         arch = sim.arch
         layer = ctx.layer
-        decomposition = ctx.scratch["decomposition"]
-        pattern_index_matrix = ctx.scratch["pattern_index_matrix"]
+        pattern_index_matrix = ctx.scratch["decomposition"].pattern_indices
         num_partitions = ctx.scratch["num_partitions"]
         ops = ctx.scratch["ops"]
 
@@ -345,10 +344,7 @@ class PhiDramStage:
         # byte per entry) plus 5 bits per Level 2 nonzero (4-bit column
         # index inside the k=16 partition plus a sign bit).
         pattern_index_bytes = float(layer.m * num_partitions)
-        level2_nonzeros = sum(
-            int(np.count_nonzero(t.level2)) for t in decomposition.tiles
-        )
-        activation_bytes = pattern_index_bytes + 0.625 * float(level2_nonzeros)
+        activation_bytes = pattern_index_bytes + 0.625 * float(ops.phi_level2_ops)
         # Uncompressed Phi representation: 2-bit element matrix + indices.
         activation_bytes_uncompressed = layer.m * layer.k / 4.0 + pattern_index_bytes
 
@@ -670,12 +666,9 @@ def simulate_phi_many(
                 metrics = (
                     sparsity_breakdown(decomposition),
                     operation_counts(decomposition),
-                    decomposition.pattern_index_matrix(),
                 )
                 metrics_memo[id(decomposition)] = metrics
-            ctx.scratch["breakdown"] = metrics[0]
-            ctx.scratch["ops"] = metrics[1]
-            ctx.scratch["pattern_index_matrix"] = metrics[2]
+            ctx.scratch["breakdown"], ctx.scratch["ops"] = metrics
             plan = plan_preprocess(
                 simulator.arch, layer_calibration, decomposition, layer
             )

@@ -275,7 +275,7 @@ def _decode_calibration(arrays: Mapping[str, np.ndarray]) -> ModelCalibration:
 def _encode_decompositions(
     decompositions: "Mapping[str, MatrixDecomposition] | DecompositionArtifact",
 ) -> dict[str, np.ndarray]:
-    # Only the per-row pattern assignments are stored: the Level 2 matrix
+    # Only the per-row pattern assignments are stored: the Level 2 counts
     # and the original tiles are deterministic functions of (activations,
     # patterns, assignments) and are rebuilt bit-exactly on load by
     # :func:`repro.core.sparsity.rebuild_decomposition`.
@@ -283,7 +283,7 @@ def _encode_decompositions(
         items = list(decompositions.assignments.items())
     else:
         items = [
-            (name, decomposition.pattern_index_matrix())
+            (name, decomposition.pattern_indices)
             for name, decomposition in decompositions.items()
         ]
     layers = []

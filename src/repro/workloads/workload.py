@@ -25,7 +25,8 @@ class LayerWorkload:
     name:
         Layer identifier (matches the network layer name).
     activations:
-        Binary matrix of shape ``(M, K)`` — the spike inputs of the GEMM.
+        Binary matrix of shape ``(M, K)`` — the spike inputs of the GEMM,
+        as a read-only ``uint8`` view (no copy of a ``uint8`` input).
     weights:
         Weight matrix of shape ``(K, N)``.
     """
@@ -46,7 +47,12 @@ class LayerWorkload:
             )
         if not is_binary_matrix(activations):
             raise ValueError("activations must be binary (0/1)")
-        object.__setattr__(self, "activations", activations.astype(np.uint8))
+        # Kept as given when already uint8, so a store's mapped payload
+        # stays mapped rather than copied onto the heap; the workload is
+        # frozen, so its view is read-only either way.
+        activations = np.asarray(activations, dtype=np.uint8).view()
+        activations.setflags(write=False)
+        object.__setattr__(self, "activations", activations)
         object.__setattr__(self, "weights", weights)
 
     @property

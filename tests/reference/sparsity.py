@@ -5,6 +5,10 @@ matched each distinct row once: every row is matched against every
 pattern (float64 GEMM form of the Hamming distance) and Level 2 is built
 with boolean-mask scatters.  Property tests check that the deduplicated
 version returns the same pattern indices and Level 2 matrix.
+
+The result carries its Level 2 as per-row nonzero counts, and its
+``level2`` property rebuilds the matrix from the tile and the pattern
+indices, so the oracle checks that rebuild against its own scatter.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ def decompose_tile(tile: np.ndarray, patterns: PatternSet) -> TileDecomposition:
     level2 = np.zeros(tile.shape, dtype=np.int8)
 
     if num_rows == 0:
-        return TileDecomposition(pattern_indices, level2, patterns, tile)
+        return _checked(pattern_indices, level2, patterns, tile)
 
     rows_f = tile.astype(np.float64)
     patterns_f = patterns.matrix.astype(np.float64)
@@ -46,9 +50,17 @@ def decompose_tile(tile: np.ndarray, patterns: PatternSet) -> TileDecomposition:
     level2[use_pattern] = level2_assigned.astype(np.int8)
     level2[~use_pattern] = tile[~use_pattern].astype(np.int8)
 
-    return TileDecomposition(
+    return _checked(pattern_indices, level2, patterns, tile)
+
+
+def _checked(
+    pattern_indices: np.ndarray, level2: np.ndarray, patterns: PatternSet, tile: np.ndarray
+) -> TileDecomposition:
+    result = TileDecomposition(
         pattern_indices=pattern_indices,
-        level2=level2,
+        level2_nonzeros=np.count_nonzero(level2, axis=1),
         patterns=patterns,
         original=tile,
     )
+    np.testing.assert_array_equal(result.level2, level2)
+    return result

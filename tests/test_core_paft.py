@@ -113,7 +113,7 @@ class TestActivationAligner:
     ):
         aligner = ActivationAligner(alignment_strength=strength, seed=5)
         oracle = ActivationAligner(alignment_strength=strength, seed=5)
-        assert np.any(calibration.decompose(binary_matrix).pattern_index_matrix() == 0)
+        assert np.any(calibration.decompose(binary_matrix).pattern_indices == 0)
         np.testing.assert_array_equal(
             aligner.align_layer(binary_matrix, calibration),
             reference_paft.align_layer(oracle, binary_matrix, calibration),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.metrics import sparsity_breakdown
 from repro.core.patterns import NO_PATTERN, PatternSet
 from repro.core.sparsity import (
     decompose_matrix,
@@ -136,7 +137,7 @@ class TestDecomposeMatrix:
     def test_pattern_index_matrix_shape(self, matrix_and_patterns):
         matrix, patterns = matrix_and_patterns
         result = decompose_matrix(matrix, patterns, 8)
-        assert result.pattern_index_matrix().shape == (50, 3)
+        assert result.pattern_indices.shape == (50, 3)
 
     def test_wrong_pattern_set_count(self, matrix_and_patterns):
         matrix, patterns = matrix_and_patterns
@@ -149,8 +150,9 @@ class TestDecomposeMatrix:
         assert 0.0 <= result.bit_density <= 1.0
         assert 0.0 <= result.level1_density <= 1.0
         assert 0.0 <= result.level2_density <= 1.0
+        breakdown = sparsity_breakdown(result)
         assert result.level2_density == pytest.approx(
-            result.level2_positive_density + result.level2_negative_density
+            breakdown.level2_positive_density + breakdown.level2_negative_density
         )
 
     def test_compute_output_weight_mismatch(self, matrix_and_patterns):

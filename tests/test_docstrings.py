@@ -1,5 +1,5 @@
 """Docstring enforcement for the public API (runner, report, service, hw,
-baselines).
+baselines, core, workloads).
 
 A lightweight, dependency-free stand-in for ``pydocstyle``/``ruff``'s D
 rules (CI additionally runs ``ruff check --select D`` — see ruff.toml):
@@ -25,6 +25,8 @@ CHECKED_FILES = sorted(
     + list((SRC / "service").glob("*.py"))
     + list((SRC / "hw").glob("*.py"))
     + list((SRC / "baselines").glob("*.py"))
+    + list((SRC / "core").glob("*.py"))
+    + list((SRC / "workloads").glob("*.py"))
     + [SRC / "experiments" / "registry.py", SRC / "experiments" / "common.py"]
 )
 

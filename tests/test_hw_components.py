@@ -314,10 +314,11 @@ class TestCountsFastPath:
         arch = ArchConfig(tile_m=tile_m, num_channels=num_channels)
         level2 = (np.random.default_rng(3).random((rows, 16)) < 0.003).astype(np.int8)
         level2[-1, 0] = 1
+        level2_counts = np.count_nonzero(level2, axis=1)
         plan = plan_preprocess(
             arch,
             SimpleNamespace(pattern_sets=()),
-            SimpleNamespace(tiles=[SimpleNamespace(level2=level2)] * 2),
+            SimpleNamespace(level2_nonzeros=np.column_stack([level2_counts] * 2)),
             SimpleNamespace(m=rows, k=32),
         )
         assert plan.compressed[-1].row_ids[-1] == (rows - 1) % tile_m

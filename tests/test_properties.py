@@ -337,7 +337,8 @@ def _random_level2(rows: int, width: int, density: float, seed: int) -> np.ndarr
 def _planned_counts(level2: np.ndarray, needs_psum: bool):
     """``level2``'s compressed counts as ``plan_preprocess`` lays them out.
 
-    The tile is both partitions of a one-M-tile layer, so the plan's
+    The plan reads only the decomposition's per-row Level 2 nonzero
+    counts.  The tile is both partitions of a one-M-tile layer, so the plan's
     second job carries a psum and its first does not.  The result holds
     views into the plan's compact per-layer arrays.
     """
@@ -347,10 +348,11 @@ def _planned_counts(level2: np.ndarray, needs_psum: bool):
     from repro.hw.simulator import plan_preprocess
 
     rows, width = level2.shape
+    level2_counts = np.count_nonzero(level2, axis=1)
     plan = plan_preprocess(
         ArchConfig(tile_m=rows, tile_k=width),
         SimpleNamespace(pattern_sets=()),
-        SimpleNamespace(tiles=[SimpleNamespace(level2=level2)] * 2),
+        SimpleNamespace(level2_nonzeros=np.column_stack([level2_counts] * 2)),
         SimpleNamespace(m=rows, k=2 * width),
     )
     return plan.compressed[int(needs_psum)]

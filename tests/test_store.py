@@ -18,6 +18,7 @@ import pytest
 import repro.runner.engine as engine_module
 from repro.core.calibration import PhiCalibrator
 from repro.core.config import PhiConfig
+from repro.core.paft import ActivationAligner
 from repro.core.sparsity import decompose_matrix, rebuild_decomposition
 from repro.experiments.common import TINY
 from repro.runner import (
@@ -133,7 +134,7 @@ class TestArtifactRoundtrips:
             layer.activations,
             calibration.pattern_sets,
             config.partition_size,
-            direct.pattern_index_matrix(),
+            direct.pattern_indices,
         )
         np.testing.assert_array_equal(rebuilt.reconstruct(), direct.reconstruct())
         for a, b in zip(direct.tiles, rebuilt.tiles):
@@ -280,6 +281,46 @@ class TestStoreBackedEngine:
         second = SweepEngine(store=ArtifactStore(tmp_path)).run([point])[0]
         assert counted_kmeans["n"] == 2
         assert first == second
+
+    def test_disk_served_workload_stays_mapped_through_paft(self, tmp_path, monkeypatch):
+        # The first run stores the base workload, its calibration and its
+        # decompositions.  The second, with memos cleared, reads the base
+        # workload off disk and aligns it for a PAFT point: the aligner
+        # must get the read-only mapped payload itself, not a heap copy.
+        base = WorkloadSpec("vgg16", "cifar10", batch_size=2, num_steps=2)
+        paft = WorkloadSpec("vgg16", "cifar10", batch_size=2, num_steps=2, paft_strength=0.5)
+        arch, phi = TINY.arch_config(), TINY.phi_config()
+        _clear_process_memos()
+        SweepEngine(store=ArtifactStore(tmp_path)).run(
+            [SweepPoint(workload=base, arch=arch, phi=phi)]
+        )
+
+        payloads, aligned_inputs = [], []
+        load_payload, align_layer = ArtifactStore.load_payload, ActivationAligner.align_layer
+
+        def recording_load(store, key):
+            payload = load_payload(store, key)
+            payloads.append(payload)
+            return payload
+
+        def recording_align(aligner, activations, calibration):
+            aligned_inputs.append(activations)
+            return align_layer(aligner, activations, calibration)
+
+        monkeypatch.setattr(ArtifactStore, "load_payload", recording_load)
+        monkeypatch.setattr(ActivationAligner, "align_layer", recording_align)
+        point = SweepPoint(workload=paft, arch=arch, phi=phi)
+        _clear_process_memos()
+        from_disk = SweepEngine(store=ArtifactStore(tmp_path)).run([point])[0]
+
+        assert aligned_inputs
+        mapped = [payload for payload in payloads if payload is not None]
+        for activations in aligned_inputs:
+            assert activations.dtype == np.uint8
+            assert not activations.flags.writeable
+            assert any(np.shares_memory(activations, payload) for payload in mapped)
+        _clear_process_memos()
+        assert from_disk == SweepEngine().run([point])[0]
 
     def test_calibration_for_does_not_mutate_workloads(self):
         workload = tiny_workload(seed=7)
