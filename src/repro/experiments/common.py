@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.calibration import ModelCalibration
 from ..core.config import PhiConfig
 from ..hw.config import ArchConfig
-from ..runner.engine import WorkloadSpec, calibration_for
+from ..runner.engine import WorkloadSpec
 from ..workloads.generator import cached_workload
 from ..workloads.workload import ModelWorkload
 
@@ -128,16 +127,8 @@ def scales_markdown_table() -> str:
     return "\n".join(lines)
 
 
-def workload_for(
-    model_name: str,
-    dataset_name: str,
-    *,
-    batch_size: int,
-    num_steps: int,
-    split: str = "test",
-    seed: int = 0,
-) -> ModelWorkload:
-    """Cached workload generation (treat the result as read-only).
+def get_workload(model_name: str, dataset_name: str, scale: ExperimentScale) -> ModelWorkload:
+    """Workload for a model/dataset pair at the requested scale (read-only).
 
     Delegates to the generator-level memo the sweep engine uses too, so
     experiments and engine workers in the same process share one workload
@@ -146,34 +137,11 @@ def workload_for(
     return cached_workload(
         model_name,
         dataset_name,
-        batch_size=batch_size,
-        num_steps=num_steps,
-        seed=seed,
-        split=split,
+        batch_size=scale.batch_size,
+        num_steps=scale.num_steps,
+        seed=0,
+        split="test",
         # lru_cache keys on the keywords as passed: these are the engine's,
         # in its order, so both share one memo entry.
         temporal=False,
     )
-
-
-def get_workload(model_name: str, dataset_name: str, scale: ExperimentScale) -> ModelWorkload:
-    """Workload for a model/dataset pair at the requested scale."""
-    return workload_for(
-        model_name,
-        dataset_name,
-        batch_size=scale.batch_size,
-        num_steps=scale.num_steps,
-    )
-
-
-def calibrate_workload(
-    workload: ModelWorkload, scale: ExperimentScale
-) -> ModelCalibration:
-    """Calibrate patterns for every layer of a workload.
-
-    Memoised per ``(workload instance, PhiConfig)`` — repeated sweeps at
-    the same scale reuse one calibration instead of recomputing it per
-    experiment point.
-    """
-    return calibration_for(workload, scale.phi_config())
-

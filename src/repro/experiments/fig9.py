@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 from ..analysis.clustering import ClusterStats, cluster_stats, distribution_overlap
 from ..analysis.tsne import TSNEResult, tsne
+from ..core.calibration import PhiCalibrator
 from ..core.paft import ActivationAligner
-from .common import SMALL, ExperimentScale, calibrate_workload, get_workload
+from .common import SMALL, ExperimentScale, get_workload
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,7 @@ def run_fig9(
     seed: int = 0,
 ) -> Fig9Result:
     """Reproduce the Fig. 9 PAFT clustering analysis."""
-    test_workload = get_workload(model_name, dataset_name, scale)
-    train_workload = get_workload(model_name, dataset_name, scale)
-
-    layer = test_workload[layer_index]
+    layer = get_workload(model_name, dataset_name, scale)[layer_index]
     # Split the recorded rows into disjoint "train" and "test" halves so
     # the overlap measurement is meaningful even on the cached workload.
     rows = layer.activations
@@ -62,15 +60,16 @@ def run_fig9(
     width = min(rows.shape[1], scale.partition_size * 4)
     train_rows = train_rows[:, :width]
     test_rows = test_rows[:, :width]
-    _ = train_workload
 
     overlap = distribution_overlap(
         train_rows[:, : scale.partition_size], test_rows[:, : scale.partition_size]
     )
 
-    calibration = calibrate_workload(test_workload, scale)
+    calibration = PhiCalibrator(scale.phi_config()).calibrate_layer(
+        layer.name, layer.activations
+    )
     aligner = ActivationAligner(alignment_strength=alignment_strength, seed=seed)
-    aligned = aligner.align_layer(layer.activations, calibration[layer.name])
+    aligned = aligner.align_layer(layer.activations, calibration)
 
     sample = slice(0, min(num_rows, test_rows.shape[0]))
     stats_before = cluster_stats(layer.activations[sample, :width], seed=seed)

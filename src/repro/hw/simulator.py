@@ -29,9 +29,9 @@ model run aggregates into :class:`~repro.hw.pipeline.RunResult` — the
 same schema every baseline accelerator reports through.
 
 Every simulation runs through :func:`simulate_phi_many`: it decomposes
-each layer, plans its preprocessing and packs the jobs of every layer of
-every task in one lockstep batch, then runs the stages, which only read
-what it seeded into the context.  :meth:`PhiSimulator.simulate` and
+each layer it was given no decomposition for, plans its preprocessing
+and packs the jobs of every layer of every task in one lockstep batch,
+then runs the stages, which only read what it seeded into the context.  :meth:`PhiSimulator.simulate` and
 :meth:`PhiSimulator.simulate_layer` are batches of one.
 """
 
@@ -44,7 +44,7 @@ import numpy as np
 
 from ..core.calibration import LayerCalibration, ModelCalibration, PhiCalibrator
 from ..core.config import PhiConfig
-from ..core.metrics import operation_counts, sparsity_breakdown
+from ..core.metrics import decomposition_metrics
 from ..core.sparsity import decompose_matrix, partition_boundaries
 from ..workloads.workload import LayerWorkload, ModelWorkload
 from .config import ArchConfig
@@ -154,13 +154,13 @@ def plan_preprocess(
     nnz[: layer.m] = decomposition.level2_nonzeros
     by_job = nnz.reshape(len(m_tiles), arch.tile_m, num_partitions).transpose(0, 2, 1)
     by_job = by_job.reshape(-1, arch.tile_m)
-    kept = np.flatnonzero(by_job)
-    row_nonzeros = by_job.ravel()[kept]
-    row_ids = np.remainder(kept, arch.tile_m, out=kept).astype(
-        np.int16 if arch.tile_m <= 2**15 else np.int32
+    kept = by_job != 0
+    row_nonzeros = by_job[kept]
+    local_ids = np.arange(
+        arch.tile_m, dtype=np.int16 if arch.tile_m <= 2**15 else np.int32
     )
-    del kept
-    offsets = np.concatenate(([0], np.cumsum(np.count_nonzero(by_job, axis=1))))
+    row_ids = np.broadcast_to(local_ids, by_job.shape)[kept]
+    offsets = np.concatenate(([0], np.cumsum(np.count_nonzero(kept, axis=1))))
     offsets = offsets.tolist()
     compressed = [
         CompressedCounts(
@@ -537,12 +537,10 @@ class PhiSimulator(AcceleratorModel):
         layer: LayerWorkload,
         layer_calibration: LayerCalibration,
         decomposition,
-        memo: dict,
     ) -> LayerContext:
         """Validated :class:`LayerContext` seeded with the layer's decomposition.
 
-        A missing ``decomposition`` is computed, once per (activation
-        matrix, calibration, partition width) in ``memo``.
+        A missing ``decomposition`` is computed here.
         """
         if layer_calibration.total_width != layer.k:
             raise ValueError(
@@ -550,13 +548,9 @@ class PhiSimulator(AcceleratorModel):
                 f"layer K={layer.k}"
             )
         if decomposition is None:
-            memo_key = (id(layer.activations), id(layer_calibration), self.arch.tile_k)
-            decomposition = memo.get(memo_key)
-            if decomposition is None:
-                decomposition = decompose_matrix(
-                    layer.activations, layer_calibration.pattern_sets, self.arch.tile_k
-                )
-                memo[memo_key] = decomposition
+            decomposition = decompose_matrix(
+                layer.activations, layer_calibration.pattern_sets, self.arch.tile_k
+            )
         elif decomposition.num_rows != layer.m or decomposition.total_width != layer.k:
             raise ValueError(
                 f"decomposition shape ({decomposition.num_rows}, "
@@ -617,10 +611,10 @@ def simulate_phi_many(
     quantity is computed by the same (deterministic) code on the same
     inputs — only the loop structure changes (property-tested).
 
-    Work shared across tasks is computed once per distinct input rather
-    than once per task: layer decompositions (keyed by activation matrix,
-    calibration and partition width) and the density/op-count metrics
-    derived from them (keyed by decomposition identity).
+    A layer without a given decomposition is decomposed here.  Callers
+    that batch many tasks (the sweep engine) pass each unit's shared
+    decompositions, and the density/op-count metrics are read once per
+    distinct decomposition (keyed by identity).
 
     Parameters
     ----------
@@ -636,11 +630,6 @@ def simulate_phi_many(
     """
     prepared = []  # (simulator, RunResult, [(ctx, job_start, job_stop)])
     jobs: list[tuple] = []
-    # Decompositions shared across tasks (same workload instance, same
-    # calibration instance, same partition width) are computed once; the
-    # metrics derived from a decomposition are memoised by its identity,
-    # which also covers caller-provided shared decompositions.
-    decomposition_memo: dict[tuple, object] = {}
     metrics_memo: dict[int, tuple] = {}
     for simulator, workload, calibration, decompositions in tasks:
         result = RunResult(
@@ -655,20 +644,15 @@ def simulate_phi_many(
         for layer in workload:
             layer_calibration = simulator._calibration_for(layer, calibration)
             ctx = simulator._layer_context(
-                layer,
-                layer_calibration,
-                decompositions.get(layer.name),
-                decomposition_memo,
+                layer, layer_calibration, decompositions.get(layer.name)
             )
             decomposition = ctx.scratch["decomposition"]
             metrics = metrics_memo.get(id(decomposition))
             if metrics is None:
-                metrics = (
-                    sparsity_breakdown(decomposition),
-                    operation_counts(decomposition),
+                metrics = metrics_memo[id(decomposition)] = decomposition_metrics(
+                    decomposition
                 )
-                metrics_memo[id(decomposition)] = metrics
-            ctx.scratch["breakdown"], ctx.scratch["ops"] = metrics
+            ctx.scratch["ops"], ctx.scratch["breakdown"] = metrics
             plan = plan_preprocess(
                 simulator.arch, layer_calibration, decomposition, layer
             )

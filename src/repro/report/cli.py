@@ -24,7 +24,7 @@ import sys
 import time
 
 from ..experiments.registry import REGISTRY, get_experiment, registry_markdown_table
-from ..runner.cli import _add_common, _engine_from_args
+from ..runner.cli import _add_common, _engine_from_args, _progress
 from ..runner.engine import SweepEngine
 from .artifact import (
     ReportArtifact,
@@ -117,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     start = time.perf_counter()
-    with engine:
+    with engine, _progress(args):
         for spec in specs:
             key = section_cache_key(spec, args.scale)
             section_start = time.perf_counter()

@@ -38,12 +38,13 @@ all twelve) at every tier, where ``exp fig8`` applies the tier's preset.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import pathlib
 import sys
 import time
 
 from .cache import ResultCache, default_cache_dir
-from .engine import SweepEngine, SweepPoint, WorkloadSpec
+from .engine import SweepEngine, SweepPoint, WorkloadSpec, progress_scope
 from .store import KIND_TRACE, ArtifactStore, default_store_dir
 
 
@@ -56,9 +57,20 @@ def _scale(name: str):
 def _engine_from_args(args: argparse.Namespace) -> SweepEngine:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     store = None if args.no_store else ArtifactStore(args.store_dir)
-    return SweepEngine(
-        cache=cache, jobs=args.jobs, progress=not args.quiet, store=store
+    return SweepEngine(cache=cache, jobs=args.jobs, store=store)
+
+
+def _print_progress(done: int, total: int, point: SweepPoint, origin: str) -> None:
+    print(
+        f"[{done}/{total}] {point.describe()} ({origin})", file=sys.stderr, flush=True
     )
+
+
+def _progress(args: argparse.Namespace):
+    """One ``[i/n] label (origin)`` stderr line per settled point, unless ``-q``."""
+    if args.quiet:
+        return contextlib.nullcontext()
+    return progress_scope(_print_progress)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -167,7 +179,7 @@ def _cmd_exp(args: argparse.Namespace, overrides: dict | None = None) -> int:
     if args.remote:
         return _run_remote(args, args.name, overrides)
     spec = get_experiment(args.name)
-    with _engine_from_args(args) as engine:
+    with _engine_from_args(args) as engine, _progress(args):
         start = time.perf_counter()
         result = spec.run(args.scale, engine=engine, **(overrides or {}))
         elapsed = time.perf_counter() - start
@@ -322,7 +334,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         for q in pattern_counts
     ]
-    with _engine_from_args(args) as engine:
+    with _engine_from_args(args) as engine, _progress(args):
         start = time.perf_counter()
         records = engine.run(points)
         elapsed = time.perf_counter() - start

@@ -13,14 +13,16 @@ Workloads, calibrations and activation decompositions are deterministic
 functions of ``(workload spec, PhiConfig)``, so a record computed
 anywhere is valid everywhere.  The engine's parallel dispatch grain is
 one pool task per ``(workload spec, PhiConfig)`` *unit* (see
-:meth:`SweepEngine.run`): a unit's points resolve its calibration and
-decomposition once and run through one :func:`simulate_many` call.
+:meth:`SweepEngine.run`).  A batch resolves each unit once, store or no
+store — workload, then calibration, then decompositions — and both
+``phi`` and ``phi_decomposition`` points read that one resolution.
 When the engine carries an :class:`~repro.runner.store.ArtifactStore`,
 those shared artifacts are additionally persisted on disk and each is
 computed once per configuration ever — later units, workers and runs
 load them instead of re-running workload generation, k-means or pattern
 matching.  Without a store, per-process memos (``cached_workload`` /
-:func:`calibration_for`) still share the state within each process.
+:func:`calibration_for`) still share workloads and calibrations within
+each process.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
-import sys
 import threading
 import warnings
 import weakref
@@ -78,6 +79,9 @@ CACHE_SCHEMA_VERSION = 3
 #: Accelerator name for the decomposition-only density/op-count analysis
 #: used by the Fig. 7a/b tile-size sweep (no cycle-level simulation).
 DECOMPOSITION = "phi_decomposition"
+
+#: Accelerators whose points read a unit's calibration and decompositions.
+_PHI_KINDS = ("phi", DECOMPOSITION)
 
 
 @dataclass(frozen=True)
@@ -259,13 +263,13 @@ class SweepPoint:
     label: str = ""
 
     def __post_init__(self) -> None:
-        known = set(BASELINE_CLASSES) | {"phi", DECOMPOSITION}
+        known = set(BASELINE_CLASSES) | set(_PHI_KINDS)
         if self.accelerator not in known:
             raise ValueError(
                 f"unknown accelerator {self.accelerator!r}; expected one of "
                 f"{sorted(known)}"
             )
-        if self.accelerator in ("phi", DECOMPOSITION) and self.phi is None:
+        if self.accelerator in _PHI_KINDS and self.phi is None:
             raise ValueError(f"accelerator {self.accelerator!r} needs a PhiConfig")
 
     def cache_payload(self) -> dict:
@@ -495,19 +499,37 @@ def _trace_workload(spec: WorkloadSpec) -> ModelWorkload:
     return workload
 
 
+def _stored(
+    kind: str, payload: dict, compute: Callable, rebuild: Callable | None = None
+):
+    """The ``kind`` artifact for ``payload``: a store hit or ``compute()``.
+
+    A computed artifact is put into the calling thread's store.  Without
+    a store ``compute()`` always runs; the per-process memos behind it
+    (``cached_workload``, :func:`calibration_for`) still share its work.
+    ``rebuild`` turns a stored hit into the live artifact; only
+    decompositions need one (see
+    :class:`~repro.runner.store.DecompositionArtifact`).
+    """
+    store = _current_store()
+    if store is None:
+        return compute()
+    key, found = store.lookup(kind, payload)
+    if found is not None:
+        return found if rebuild is None else rebuild(found)
+    artifact = compute()
+    store.put(kind, key, artifact)
+    return artifact
+
+
 def _stored_base_workload(spec: WorkloadSpec) -> ModelWorkload:
-    """Base workload for ``spec``: store hit or generate-and-store."""
+    """Base workload for ``spec``: the imported trace, a store hit or generated."""
     spec = _base_spec(spec)
     if spec.is_trace:
         return _trace_workload(spec)
-    store = _current_store()
-    if store is None:
-        return _base_workload(spec)
-    key, workload = store.lookup(KIND_WORKLOAD, _artifact_payload(spec, None))
-    if workload is None:
-        workload = _base_workload(spec)
-        store.put(KIND_WORKLOAD, key, workload)
-    return workload
+    return _stored(
+        KIND_WORKLOAD, _artifact_payload(spec, None), lambda: _base_workload(spec)
+    )
 
 
 def _stored_calibration(
@@ -519,42 +541,11 @@ def _stored_calibration(
     (including PAFT fields) for an aligned workload, the base spec for a
     base workload — because it is what the store key is derived from.
     """
-    store = _current_store()
-    if store is None:
-        return calibration_for(workload, config)
-    key, calibration = store.lookup(KIND_CALIBRATION, _artifact_payload(spec, config))
-    if calibration is None:
-        calibration = calibration_for(workload, config)
-        store.put(KIND_CALIBRATION, key, calibration)
-    return calibration
-
-
-def _stored_decompositions(
-    spec: WorkloadSpec,
-    config: PhiConfig,
-    workload: ModelWorkload,
-    calibration: ModelCalibration,
-) -> dict[str, MatrixDecomposition]:
-    """Per-layer decompositions of ``workload`` under ``calibration``.
-
-    Only the pattern assignments hit the disk; a loaded artifact is
-    rebuilt against the workload and calibration (see
-    :class:`~repro.runner.store.DecompositionArtifact`), which is
-    bit-exact and much cheaper than re-matching.
-    """
-    store = _current_store()
-    if store is not None:
-        key, found = store.lookup(KIND_DECOMPOSITION, _artifact_payload(spec, config))
-        if found is not None:
-            return found.rebuild(workload, calibration)
-    decompositions = {
-        layer.name: calibration[layer.name].decompose(layer.activations)
-        for layer in workload
-        if layer.name in calibration
-    }
-    if store is not None:
-        store.put(KIND_DECOMPOSITION, key, decompositions)
-    return decompositions
+    return _stored(
+        KIND_CALIBRATION,
+        _artifact_payload(spec, config),
+        lambda: calibration_for(workload, config),
+    )
 
 
 def _with_store_delta(task: Callable, *args):
@@ -580,8 +571,7 @@ def _seed_workload(spec: WorkloadSpec) -> tuple[int, int]:
 
 
 def _base_workload(spec: WorkloadSpec) -> ModelWorkload:
-    if spec.is_trace:
-        return _trace_workload(spec)
+    """Generate the base workload of a non-trace ``spec`` (memoised per process)."""
     if spec.is_random:
         m, k, n = spec.dims
         return _random_workload(spec.density, m, k, n, spec.seed, spec.model)
@@ -608,20 +598,17 @@ def _random_workload(
 
 def aligned_workload(
     workload: ModelWorkload,
-    config: PhiConfig,
+    calibration: ModelCalibration,
     *,
     strength: float,
     seed: int = 0,
-    calibration: ModelCalibration | None = None,
 ) -> ModelWorkload:
     """The post-PAFT variant of ``workload`` (Section 3.3 effect model).
 
-    ``calibration`` optionally supplies the base workload's calibration
-    (the alignment target); it is computed via :func:`calibration_for`
-    when omitted.
+    Every layer of ``workload`` found in ``calibration`` — the base
+    workload's calibration, the alignment target — is aligned towards
+    its patterns; the other layers are kept as they are.
     """
-    if calibration is None:
-        calibration = calibration_for(workload, config)
     aligner = ActivationAligner(alignment_strength=strength, seed=seed)
     aligned = ModelWorkload(
         model_name=workload.model_name, dataset_name=workload.dataset_name
@@ -640,31 +627,58 @@ def aligned_workload(
 
 
 def _resolve_workload(point: SweepPoint) -> ModelWorkload:
+    """The workload ``point`` runs on: its base workload or its PAFT variant.
+
+    Aligned workloads are store artifacts of their own, keyed by the full
+    spec (PAFT fields included) plus the aligning PhiConfig.
+    """
     spec = point.workload
     if spec.paft_strength is None:
         return _stored_base_workload(spec)
     if point.phi is None:
         raise ValueError("PAFT workloads need a PhiConfig for calibration")
-    store = _current_store()
-    if store is not None:
-        # Aligned workloads are themselves store artifacts, keyed by the
-        # full spec (PAFT fields included) plus the aligning PhiConfig.
-        key, aligned = store.lookup(KIND_WORKLOAD, _artifact_payload(spec, point.phi))
-        if aligned is not None:
-            return aligned
-    base_spec = _base_spec(spec)
-    base = _stored_base_workload(base_spec)
-    calibration = _stored_calibration(base_spec, point.phi, base)
-    aligned = aligned_workload(
-        base,
-        point.phi,
-        strength=spec.paft_strength,
-        seed=spec.paft_seed,
-        calibration=calibration,
+
+    def align() -> ModelWorkload:
+        base_spec = _base_spec(spec)
+        base = _stored_base_workload(base_spec)
+        return aligned_workload(
+            base,
+            _stored_calibration(base_spec, point.phi, base),
+            strength=spec.paft_strength,
+            seed=spec.paft_seed,
+        )
+
+    return _stored(KIND_WORKLOAD, _artifact_payload(spec, point.phi), align)
+
+
+def _resolve_unit(
+    point: SweepPoint,
+) -> tuple[ModelWorkload, ModelCalibration, dict[str, MatrixDecomposition]]:
+    """Workload, calibration and per-layer decompositions of ``point``'s unit.
+
+    Everything here is a function of the ``(workload spec, PhiConfig)``
+    unit alone.  A plain spec's calibration equals the simulator's
+    per-layer self-calibration.  For a PAFT spec the paper fine-tunes,
+    then re-calibrates on the tuned network: the calibration is computed
+    on the *aligned* workload (keyed by the full spec).  Only the pattern
+    assignments of a decomposition hit the disk; a stored one is rebuilt
+    against the workload and calibration, which is bit-exact and much
+    cheaper than re-matching.
+    """
+    spec, config = point.workload, point.phi
+    workload = _resolve_workload(point)
+    calibration = _stored_calibration(spec, config, workload)
+    decompositions = _stored(
+        KIND_DECOMPOSITION,
+        _artifact_payload(spec, config),
+        lambda: {
+            layer.name: calibration[layer.name].decompose(layer.activations)
+            for layer in workload
+            if layer.name in calibration
+        },
+        rebuild=lambda found: found.rebuild(workload, calibration),
     )
-    if store is not None:
-        store.put(KIND_WORKLOAD, key, aligned)
-    return aligned
+    return workload, calibration, decompositions
 
 
 # --------------------------------------------------------------------- #
@@ -768,13 +782,10 @@ def _model_record(point: SweepPoint) -> dict:
     return summarize_run(model_for(point).simulate(_resolve_workload(point)))
 
 
-def _decomposition_record(point: SweepPoint) -> dict:
+def _decomposition_record(
+    workload: ModelWorkload, decompositions: dict[str, MatrixDecomposition]
+) -> dict:
     """Density / op-count analysis without cycle-level simulation."""
-    workload = _resolve_workload(point)
-    calibration = _stored_calibration(point.workload, point.phi, workload)
-    decompositions = _stored_decompositions(
-        point.workload, point.phi, workload, calibration
-    )
     breakdown_pairs = []
     counts = []
     for layer in workload:
@@ -797,15 +808,12 @@ def simulate_point(point: SweepPoint) -> dict:
 
     This is the unit of work the engine dispatches to workers (and the
     seam tests monkeypatch to observe or stub simulator invocations).  A
-    Phi point runs as a batch of one through :func:`_simulate_phi_batch`.
+    ``phi`` or ``phi_decomposition`` point runs as a batch of one through
+    :func:`_simulate_phi_points`.
     """
-    if point.accelerator == "phi":
-        return _simulate_phi_batch([point])[0]
-    if point.accelerator == DECOMPOSITION:
-        record = _decomposition_record(point)
-    else:
-        record = _model_record(point)
-    return _finalize_record(point, record)
+    if point.accelerator in _PHI_KINDS:
+        return _simulate_phi_points([point])[0]
+    return _finalize_record(point, _model_record(point))
 
 
 #: The unpatched :func:`simulate_point`, for detecting a stubbed seam.
@@ -819,67 +827,60 @@ def _finalize_record(point: SweepPoint, record: dict) -> dict:
     return record
 
 
-def _simulate_phi_batch(points: Sequence[SweepPoint]) -> list[dict]:
-    """Execute a batch of phi-accelerator points as one stacked simulation.
+def _simulate_phi_points(points: Sequence[SweepPoint]) -> list[dict]:
+    """Execute a batch of ``phi`` and ``phi_decomposition`` points.
 
-    Resolves each point's workload, calibration and decompositions (the
-    decomposition set of a ``(workload, PhiConfig)`` unit is resolved
-    once and shared across the unit's points, so e.g. a buffer-scaling
-    sweep rebuilds it once instead of once per point), then hands the
-    whole batch to :func:`repro.hw.simulator.simulate_phi_many`, which
-    packs every layer of every point in one lockstep pass.  A point's
-    record does not depend on the batch it runs in.
-
-    For a plain spec the stored calibration matches the simulator's
-    per-layer self-calibration exactly while letting every point on the
-    same workload share one calibration.  For a PAFT spec the paper
-    fine-tunes, then re-calibrates on the tuned network: the calibration
-    is computed on the *aligned* workload (keyed by the full spec).
+    Each ``(workload spec, PhiConfig)`` unit of the batch is resolved
+    once (:func:`_resolve_unit`), with or without a store, so e.g. a
+    buffer-scaling sweep decomposes its workload once instead of once
+    per point.  ``phi_decomposition`` points read their record off the
+    unit's decompositions; ``phi`` points all go to one
+    :func:`repro.hw.simulator.simulate_phi_many` call, which packs every
+    layer of every point in one lockstep pass.  A point's record does not
+    depend on the batch it runs in.
     """
     from ..hw.simulator import simulate_phi_many
 
-    tasks = []
-    decompositions_by_unit: dict[tuple, dict | None] = {}
-    for point in points:
-        workload = _resolve_workload(point)
-        model = model_for(point)
-        calibration = _stored_calibration(point.workload, point.phi, workload)
-        decompositions = None
-        if _current_store() is not None:
-            unit = _unit_key(point)
-            if unit in decompositions_by_unit:
-                decompositions = decompositions_by_unit[unit]
+    units: dict[tuple, list[int]] = {}
+    for i, point in enumerate(points):
+        units.setdefault(_unit_key(point), []).append(i)
+    records: list[dict | None] = [None] * len(points)
+    tasks, simulated = [], []
+    for indices in units.values():
+        workload, calibration, decompositions = _resolve_unit(points[indices[0]])
+        for i in indices:
+            point = points[i]
+            if point.accelerator == DECOMPOSITION:
+                record = _decomposition_record(workload, decompositions)
+                records[i] = _finalize_record(point, record)
             else:
-                decompositions = _stored_decompositions(
-                    point.workload, point.phi, workload, calibration
-                )
-                decompositions_by_unit[unit] = decompositions
-        tasks.append((model, workload, calibration, decompositions))
-    results = simulate_phi_many(tasks)
-    return [
-        _finalize_record(point, summarize_run(result))
-        for point, result in zip(points, results)
-    ]
+                tasks.append((model_for(point), workload, calibration, decompositions))
+                simulated.append(i)
+        # Unbind the unit before the next one resolves, so a unit with no
+        # phi point is freed instead of peaking beside its successor.
+        del workload, calibration, decompositions
+    if tasks:
+        for i, result in zip(simulated, simulate_phi_many(tasks)):
+            records[i] = _finalize_record(points[i], summarize_run(result))
+    return records  # type: ignore[return-value]
 
 
 def simulate_many(points: Sequence[SweepPoint]) -> list[dict]:
     """Execute a batch of sweep points through one entry point.
 
-    Points run in input order inside one process; the per-process memos
+    Points run inside one process; the per-process memos
     (:func:`cached_workload`, :func:`calibration_for`) and the active
     artifact store share the derived state, so the first point of each
     ``(workload, PhiConfig)`` unit pays for it and every later point —
     in this batch, this process or any store-sharing worker — reuses it.
     This is the unit of work the engine submits to pool workers.
 
-    Phi-accelerator points additionally execute as *stacked batches*:
-    all of them (across every unit in the call) run through one
-    :func:`repro.hw.simulator.simulate_phi_many` invocation whose
-    lockstep packing spans points, layers and tiles, with records sliced
-    back out in input order.  When the :func:`simulate_point` seam has
-    been replaced (tests stub it to observe or fake invocations), every
-    point routes through the stub instead — batching is an optimisation
-    of the real path only.
+    Baseline points run one by one.  ``phi`` and ``phi_decomposition``
+    points (across every unit in the call) run as one batch of
+    :func:`_simulate_phi_points`, with records put back in input order.
+    When the :func:`simulate_point` seam has been replaced (tests stub
+    it to observe or fake invocations), every point routes through the
+    stub instead — batching is an optimisation of the real path only.
 
     Parameters
     ----------
@@ -892,16 +893,14 @@ def simulate_many(points: Sequence[SweepPoint]) -> list[dict]:
         One v3 record per point, in input order.
     """
     records: list[dict | None] = [None] * len(points)
-    phi_batch: list[int] = []
+    batch: list[int] = []
     for i, point in enumerate(points):
-        if point.accelerator == "phi" and simulate_point is _REAL_SIMULATE_POINT:
-            phi_batch.append(i)
+        if point.accelerator in _PHI_KINDS and simulate_point is _REAL_SIMULATE_POINT:
+            batch.append(i)
         else:
             records[i] = simulate_point(point)
-    if phi_batch:
-        batch_records = _simulate_phi_batch([points[i] for i in phi_batch])
-        for i, record in zip(phi_batch, batch_records):
-            records[i] = record
+    for i, record in zip(batch, _simulate_phi_points([points[i] for i in batch])):
+        records[i] = record
     return records  # type: ignore[return-value]
 
 
@@ -1095,8 +1094,6 @@ class SweepEngine:
         monkeypatch-friendly); higher values use a persistent process pool
         that stays warm across :meth:`run` calls (close it with
         :meth:`close` or by using the engine as a context manager).
-    progress:
-        Emit one ``[i/n]`` line per completed point to ``stderr``.
     store:
         Shared artifact store for workloads, calibrations and
         decompositions, or ``None`` (the default) to keep them
@@ -1119,7 +1116,6 @@ class SweepEngine:
         *,
         cache: ResultCache | None = None,
         jobs: int = 1,
-        progress: bool = False,
         store: ArtifactStore | None = None,
         dispatcher=None,
     ) -> None:
@@ -1127,7 +1123,6 @@ class SweepEngine:
             raise ValueError("jobs must be >= 1")
         self.cache = cache
         self.jobs = jobs
-        self.progress = progress
         self.store = store
         self.dispatcher = dispatcher
         self.stats = SweepStats()
@@ -1190,12 +1185,6 @@ class SweepEngine:
 
     # ------------------------------------------------------------------ #
     def _emit(self, done: int, total: int, point: SweepPoint, origin: str) -> None:
-        if self.progress:
-            print(
-                f"[{done}/{total}] {point.describe()} ({origin})",
-                file=sys.stderr,
-                flush=True,
-            )
         hook = getattr(_PROGRESS, "hook", None)
         if hook is not None:
             hook(done, total, point, origin)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import ctypes
 import json
 import os
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -85,9 +86,10 @@ phi_grids = st.lists(
     st.tuples(
         st.sampled_from([2, 4, 8]),  # num_patterns (q)
         st.sampled_from([0, 1]),  # workload seed
+        st.sampled_from(["phi", engine_module.DECOMPOSITION]),  # accelerator
     ),
     min_size=1,
-    max_size=3,
+    max_size=4,
 )
 
 
@@ -96,24 +98,33 @@ phi_grids = st.lists(
 def test_stacked_simulate_many_is_byte_identical_to_per_point(grid):
     """Cross-point stacking never changes a single record byte.
 
-    Points are drawn over a randomized (num_patterns, workload-seed)
-    grid — duplicates are allowed and valuable, because same-unit points
-    exercise the decomposition-sharing path while distinct units
-    exercise the per-spec stacking groups.
+    Points are drawn over a randomized (num_patterns, workload-seed,
+    accelerator) grid — duplicates are allowed and valuable, because
+    same-unit points exercise the shared unit resolution, mixed kinds
+    share one unit between ``phi`` and ``phi_decomposition`` points, and
+    distinct units exercise the per-spec stacking groups.  The batch runs
+    without a store and then twice inside a fresh artifact store: the
+    first run stores the unit artifacts, the second rebuilds them.
     """
     points = [
         SweepPoint(
             workload=WorkloadSpec.random(0.3, m=64, k=32, n=8, seed=seed),
             arch=TINY.arch_config(num_patterns=q),
             phi=TINY.phi_config(num_patterns=q),
+            accelerator=accelerator,
         )
-        for q, seed in grid
+        for q, seed, accelerator in grid
+    ]
+    reference = [
+        _record_bytes(engine_module.simulate_point(point)) for point in points
     ]
     stacked = engine_module.simulate_many(points)
-    reference = [engine_module.simulate_point(point) for point in points]
-    assert [_record_bytes(r) for r in stacked] == [
-        _record_bytes(r) for r in reference
-    ]
+    assert [_record_bytes(r) for r in stacked] == reference
+    with tempfile.TemporaryDirectory() as root:
+        with engine_module._active_store(ArtifactStore(root)):
+            for _ in range(2):
+                stacked = engine_module.simulate_many(points)
+                assert [_record_bytes(r) for r in stacked] == reference
 
 
 # --------------------------------------------------------------------- #

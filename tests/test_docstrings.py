@@ -1,5 +1,5 @@
 """Docstring enforcement for the public API (runner, report, service, hw,
-baselines, core, workloads).
+baselines, core, workloads, analysis, datasets).
 
 A lightweight, dependency-free stand-in for ``pydocstyle``/``ruff``'s D
 rules (CI additionally runs ``ruff check --select D`` — see ruff.toml):
@@ -27,6 +27,8 @@ CHECKED_FILES = sorted(
     + list((SRC / "baselines").glob("*.py"))
     + list((SRC / "core").glob("*.py"))
     + list((SRC / "workloads").glob("*.py"))
+    + list((SRC / "analysis").glob("*.py"))
+    + list((SRC / "datasets").glob("*.py"))
     + [SRC / "experiments" / "registry.py", SRC / "experiments" / "common.py"]
 )
 

@@ -183,6 +183,22 @@ def test_warm_path_memory_per_row_partition():
     assert peak / indices.size <= 20
 
 
+def test_plan_memory_per_row_partition():
+    # The plan alone on the same layer: the padded counts, their job-major
+    # copy, a boolean keep mask and the kept ids and counts stay under
+    # 10 B per (row, partition); an int64 index of the kept rows took 12.5.
+    layer, calibration = _seeded_layer(2048, 288)
+    decomposition = decompose_matrix(layer.activations, calibration.pattern_sets, 16)
+    tracemalloc.start()
+    try:
+        plan = plan_preprocess(ArchConfig(), calibration, decomposition, layer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(plan.compressed) == plan.num_partitions * len(plan.m_tiles)
+    assert peak / decomposition.pattern_indices.size <= 10
+
+
 @pytest.mark.parametrize("width", [1, 64, 65, 130])
 def test_rebuild_keeps_inputs_uncopied(width):
     # uint8 activations and int32 assignments are used in place, as a

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -540,6 +541,40 @@ class TestFigureSubcommands:
         assert int(stats["points"]) == 49 == len(DEFAULT_WORKLOADS) * len(ACCELERATORS)
         for model, dataset in DEFAULT_WORKLOADS:
             assert f"| {model}/{dataset} |" in body
+
+
+class TestProgressLines:
+    """Both CLIs print one ``[i/n] label (origin)`` stderr line per settled
+    point through ``progress_scope``; ``-q`` silences them."""
+
+    LINE = re.compile(r"\[(\d+)/(\d+)\] \S+ \((run|cache|inflight)\)")
+
+    @pytest.mark.parametrize("quiet", [False, True])
+    @pytest.mark.parametrize("cli", ["runner", "report"])
+    def test_one_stderr_line_per_point_unless_quiet(self, capsys, tmp_path, cli, quiet):
+        from repro.report.cli import main as report_main
+        from repro.runner.cli import main as runner_main
+
+        flags = ["--scale", "tiny", "--no-cache", "--no-store"]
+        flags += ["-q"] if quiet else []
+        if cli == "runner":
+            assert runner_main(["fig12", *flags]) == 0
+            pattern = r"(\d+) points, "
+        else:
+            assert report_main(["--only", "fig12", "-o", str(tmp_path), *flags]) == 0
+            pattern = r"sweep points: (\d+) requested"
+        out, err = capsys.readouterr()
+        requested = int(re.search(pattern, out)[1])
+        lines = [line for line in err.splitlines() if self.LINE.match(line)]
+        assert requested > 0
+        assert not self.LINE.search(out)
+        if quiet:
+            assert lines == []
+            return
+        assert len(lines) == requested
+        assert all(self.LINE.fullmatch(line) for line in lines)
+        done, total = self.LINE.match(lines[-1]).group(1, 2)
+        assert done == total
 
 
 class TestValidateCacheSubprocess:
