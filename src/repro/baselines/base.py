@@ -93,9 +93,9 @@ class BaselineDramStage:
     """DRAM stage of the baseline pipeline; assembles the layer result.
 
     All baselines stream dense (bit-packed) activations, dense weights
-    and binary output spikes; :meth:`BaselineAccelerator.layer_dram_bytes`
-    stays overridable for designs with a different traffic mix (such
-    models should also override the component fields they change).
+    and binary output spikes.  The memory latency is taken from the
+    result's :attr:`~repro.hw.pipeline.LayerResult.dram_bytes`, the sum
+    of those component fields, so latency and traffic cannot disagree.
     """
 
     name = "dram"
@@ -107,30 +107,19 @@ class BaselineDramStage:
         """Account the layer's off-chip traffic and build ``ctx.result``."""
         layer = ctx.layer
         config = self.model.config
-        dram = self.model.layer_dram_bytes(layer)
-        memory = dram / config.dram_bytes_per_cycle
-        ctx.result = LayerResult(
+        result = ctx.result = LayerResult(
             layer_name=layer.name,
             m=layer.m,
             k=layer.k,
             n=layer.n,
             compute_cycles=ctx.scratch["compute_cycles"],
-            memory_cycles=memory,
             operations=paper_operations(layer),
             activation_bytes=dense_activation_bytes(layer),
             weight_bytes=weight_bytes(layer, config),
             output_bytes=output_bytes(layer),
         )
-        if ctx.result.dram_bytes != dram:
-            # Latency (memory_cycles) and traffic (LayerResult.dram_bytes)
-            # must agree; a model with a custom traffic mix has to override
-            # the stage (or the component fields), not just the total.
-            raise ValueError(
-                f"{self.model.name}: layer_dram_bytes() ({dram}) disagrees "
-                f"with the traffic component fields "
-                f"({ctx.result.dram_bytes}); override BaselineDramStage so "
-                "latency and traffic stay consistent"
-            )
+        dram = result.dram_bytes
+        memory = result.memory_cycles = dram / config.dram_bytes_per_cycle
         return StageRecord(name=self.name, cycles=memory, dram_bytes=dram)
 
 
@@ -175,14 +164,6 @@ class BaselineAccelerator(AcceleratorModel):
         pay off in energy and not just latency.
         """
         return float(paper_operations(layer))
-
-    def layer_dram_bytes(self, layer: LayerWorkload) -> float:
-        """DRAM traffic of one layer (dense activations + weights + outputs)."""
-        return (
-            dense_activation_bytes(layer)
-            + weight_bytes(layer, self.config)
-            + output_bytes(layer)
-        )
 
     # ------------------------------------------------------------------ #
     def simulate_layer(self, layer: LayerWorkload) -> LayerResult:

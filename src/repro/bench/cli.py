@@ -1,7 +1,7 @@
 """Scenario runner and CLI of the benchmark trajectory.
 
 Each scenario executes ``python -m repro.runner <experiment>`` in a fresh
-subprocess so in-process memos (workload ``lru_cache``, calibration memo)
+subprocess so in-process memos (``cached_workload``, the store's memo)
 can never leak warmth between scenarios; what *is* warm is controlled
 purely through the cache and store directories handed to each run:
 

@@ -11,7 +11,6 @@ figure/table with the paper's claim and the measured numbers
 
 from .artifact import (
     REPORT_SCHEMA_VERSION,
-    SCALED_ZOO_CAVEAT,
     ReportArtifact,
     SectionRecord,
     section_cache_key,
@@ -30,7 +29,6 @@ __all__ = [
     "PAYLOAD_BUILDERS",
     "REPORT_SCHEMA_VERSION",
     "ReportArtifact",
-    "SCALED_ZOO_CAVEAT",
     "SectionRecord",
     "build_payload",
     "markdown_table",

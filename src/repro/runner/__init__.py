@@ -21,7 +21,6 @@ from .engine import (
     SweepPoint,
     WorkloadSpec,
     aligned_workload,
-    calibration_for,
     progress_scope,
     simulate_many,
     simulate_point,
@@ -40,7 +39,6 @@ __all__ = [
     "WorkloadSpec",
     "aligned_workload",
     "cache_key",
-    "calibration_for",
     "default_cache_dir",
     "default_store_dir",
     "progress_scope",

@@ -16,13 +16,12 @@ one pool task per ``(workload spec, PhiConfig)`` *unit* (see
 :meth:`SweepEngine.run`).  A batch resolves each unit once, store or no
 store — workload, then calibration, then decompositions — and both
 ``phi`` and ``phi_decomposition`` points read that one resolution.
-When the engine carries an :class:`~repro.runner.store.ArtifactStore`,
-those shared artifacts are additionally persisted on disk and each is
-computed once per configuration ever — later units, workers and runs
-load them instead of re-running workload generation, k-means or pattern
-matching.  Without a store, per-process memos (``cached_workload`` /
-:func:`calibration_for`) still share workloads and calibrations within
-each process.
+Every artifact goes through one :class:`~repro.runner.store.ArtifactStore`
+and its in-process memo.  When the engine carries a store, the artifacts
+are also persisted on disk and each is computed once per configuration
+ever — later units, workers and runs load them instead of re-running
+workload generation, k-means or pattern matching.  Without one, a
+process-wide memory-only store shares them within each process.
 """
 
 from __future__ import annotations
@@ -32,10 +31,8 @@ import ctypes
 import os
 import threading
 import warnings
-import weakref
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from ..baselines.registry import BASELINE_CLASSES, get_accelerator
@@ -334,78 +331,31 @@ class SweepPoint:
 
 
 # --------------------------------------------------------------------- #
-# Workload / calibration resolution (memoised per process)
-# --------------------------------------------------------------------- #
-#: Per-process calibration memo: workload identity -> {PhiConfig ->
-#: ModelCalibration}.  Keyed by ``id()`` (ModelWorkload is a value-equal
-#: dataclass, hence unhashable) with a ``weakref.finalize`` hook that
-#: drops the entry when the workload is collected — the workload object
-#: itself is never mutated.
-_CALIBRATION_MEMO: dict[int, dict] = {}
-
-
-def _calibration_memo_for(workload: ModelWorkload) -> dict:
-    key = id(workload)
-    memo = _CALIBRATION_MEMO.get(key)
-    if memo is None:
-        memo = {}
-        _CALIBRATION_MEMO[key] = memo
-        weakref.finalize(workload, _CALIBRATION_MEMO.pop, key, None)
-    return memo
-
-
-def calibration_for(workload: ModelWorkload, config: PhiConfig) -> ModelCalibration:
-    """Calibrate ``workload`` under ``config``, memoised per instance.
-
-    Calibration is deterministic, so results are shared through a
-    process-level memo (workload instance x frozen ``PhiConfig``); every
-    sweep point and experiment that shares the workload instance then
-    shares one calibration instead of recomputing it per point.  The
-    workload object itself is never touched, and the memo entry dies with
-    the workload.
-
-    Parameters
-    ----------
-    workload:
-        The workload whose binary activation matrices are calibrated.
-        Treated as read-only.
-    config:
-        Algorithm configuration (partition size, pattern count,
-        calibration sample count).
-
-    Returns
-    -------
-    ModelCalibration
-        Per-layer calibrated patterns, shared across callers.
-    """
-    memo = _calibration_memo_for(workload)
-    if config not in memo:
-        calibrator = PhiCalibrator(config)
-        memo[config] = calibrator.calibrate_model(workload.activation_matrices())
-    return memo[config]
-
-
-# --------------------------------------------------------------------- #
 # Shared-artifact resolution (store-aware)
 # --------------------------------------------------------------------- #
 #: The artifact store consulted by the spec-level resolution helpers,
 #: held *per thread* so concurrent :meth:`SweepEngine.run` calls (the job
 #: service dispatches from multiple threads) never swap each other's
-#: store out mid-batch.  ``None`` keeps the pure in-process behaviour.
-#: Serial engine runs activate their store around the batch loop; pool
-#: workers set it once in their initializer.
+#: store out mid-batch.  ``None`` selects :data:`_MEMO`.  Serial engine
+#: runs activate their store around the batch loop; pool workers set it
+#: once in their initializer.
 _ACTIVE = threading.local()
 
+#: The process-wide memory-only store of runs without an artifact store.
+_MEMO = ArtifactStore(None)
 
-def _current_store() -> ArtifactStore | None:
-    """The artifact store installed for the calling thread, if any."""
-    return getattr(_ACTIVE, "store", None)
+
+def _current_store() -> ArtifactStore:
+    """The artifact store installed for the calling thread, or :data:`_MEMO`."""
+    store = getattr(_ACTIVE, "store", None)
+    # Not ``or``: an empty store is falsy (``ArtifactStore.__len__``).
+    return _MEMO if store is None else store
 
 
 @contextlib.contextmanager
 def _active_store(store: ArtifactStore | None):
     """Temporarily install ``store`` as the calling thread's artifact store."""
-    previous = _current_store()
+    previous = getattr(_ACTIVE, "store", None)
     _ACTIVE.store = store
     try:
         yield
@@ -485,12 +435,12 @@ def _trace_workload(spec: WorkloadSpec) -> ModelWorkload:
     a pointer at the ``trace import`` CLI, never a silent regeneration.
     """
     store = _current_store()
-    if store is None:
+    if store.root is None:
         raise RuntimeError(
             f"trace workload {spec.trace!r} needs an artifact store; "
             "run with --store-dir (or pass store= to the engine)"
         )
-    workload = store.get(KIND_TRACE, store.trace_key(spec.trace))
+    workload = store.lookup(KIND_TRACE, {"trace": spec.trace})[1]
     if workload is None:
         raise RuntimeError(
             f"trace {spec.trace!r} not found in artifact store {store.root}; "
@@ -504,16 +454,12 @@ def _stored(
 ):
     """The ``kind`` artifact for ``payload``: a store hit or ``compute()``.
 
-    A computed artifact is put into the calling thread's store.  Without
-    a store ``compute()`` always runs; the per-process memos behind it
-    (``cached_workload``, :func:`calibration_for`) still share its work.
-    ``rebuild`` turns a stored hit into the live artifact; only
-    decompositions need one (see
+    A computed artifact is put into the calling thread's store (see
+    :func:`_current_store`).  ``rebuild`` turns a stored hit into the
+    live artifact; only decompositions need one (see
     :class:`~repro.runner.store.DecompositionArtifact`).
     """
     store = _current_store()
-    if store is None:
-        return compute()
     key, found = store.lookup(kind, payload)
     if found is not None:
         return found if rebuild is None else rebuild(found)
@@ -544,7 +490,9 @@ def _stored_calibration(
     return _stored(
         KIND_CALIBRATION,
         _artifact_payload(spec, config),
-        lambda: calibration_for(workload, config),
+        lambda: PhiCalibrator(config).calibrate_model(
+            workload.activation_matrices()
+        ),
     )
 
 
@@ -555,8 +503,6 @@ def _with_store_delta(task: Callable, *args):
     delta so the parent can add it to its store's counters.
     """
     store = _current_store()
-    if store is None:
-        return task(*args), (0, 0)
     hits, misses = store.hits, store.misses
     result = task(*args)
     return result, (store.hits - hits, store.misses - misses)
@@ -571,10 +517,12 @@ def _seed_workload(spec: WorkloadSpec) -> tuple[int, int]:
 
 
 def _base_workload(spec: WorkloadSpec) -> ModelWorkload:
-    """Generate the base workload of a non-trace ``spec`` (memoised per process)."""
+    """Generate the base workload of a non-trace ``spec``."""
     if spec.is_random:
         m, k, n = spec.dims
-        return _random_workload(spec.density, m, k, n, spec.seed, spec.model)
+        return generate_random_workload(
+            density=spec.density, m=m, k=k, n=n, seed=spec.seed, name=spec.model
+        )
     return cached_workload(
         spec.model,
         spec.dataset,
@@ -583,16 +531,6 @@ def _base_workload(spec: WorkloadSpec) -> ModelWorkload:
         seed=spec.seed,
         split=spec.split,
         temporal=spec.temporal,
-    )
-
-
-@lru_cache(maxsize=16)
-def _random_workload(
-    density: float, m: int, k: int, n: int, seed: int, name: str
-) -> ModelWorkload:
-    """Memoised random workloads (same sharing semantics as ``cached_workload``)."""
-    return generate_random_workload(
-        density=density, m=m, k=k, n=n, seed=seed, name=name
     )
 
 
@@ -868,11 +806,11 @@ def _simulate_phi_points(points: Sequence[SweepPoint]) -> list[dict]:
 def simulate_many(points: Sequence[SweepPoint]) -> list[dict]:
     """Execute a batch of sweep points through one entry point.
 
-    Points run inside one process; the per-process memos
-    (:func:`cached_workload`, :func:`calibration_for`) and the active
-    artifact store share the derived state, so the first point of each
-    ``(workload, PhiConfig)`` unit pays for it and every later point —
-    in this batch, this process or any store-sharing worker — reuses it.
+    Points run inside one process; the active artifact store (the
+    process-wide memory-only store when the engine has none) shares the
+    derived state, so the first point of each ``(workload, PhiConfig)``
+    unit pays for it and every later point — in this batch, this process
+    or any store-sharing worker — reuses it.
     This is the unit of work the engine submits to pool workers.
 
     Baseline points run one by one.  ``phi`` and ``phi_decomposition``
@@ -1096,9 +1034,10 @@ class SweepEngine:
         :meth:`close` or by using the engine as a context manager).
     store:
         Shared artifact store for workloads, calibrations and
-        decompositions, or ``None`` (the default) to keep them
-        process-local.  With a store, each artifact is computed once per
-        configuration ever — workers and later runs load it from disk.
+        decompositions, or ``None`` (the default) to keep them in the
+        process-wide memory-only store.  With a store, each artifact is
+        computed once per configuration ever — workers and later runs
+        load it from disk.
     dispatcher:
         Optional remote-execution hook (duck-typed; the service layer
         passes its fleet coordinator).  Before simulating locally,

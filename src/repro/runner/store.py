@@ -368,8 +368,9 @@ class ArtifactStore:
     Parameters
     ----------
     root:
-        Store directory (created lazily on the first ``put``); defaults
-        to :func:`default_store_dir`.
+        Store directory (created lazily on the first ``put``), or
+        ``None`` for a memory-only store: nothing is read from or written
+        to disk, and the memo below is the whole store.
 
     Notes
     -----
@@ -382,17 +383,19 @@ class ArtifactStore:
     views enforce it: writes raise).
 
     Loaded and stored artifacts are additionally memoised in-process (one
-    dict per store instance, keyed by content hash), so repeated ``get``
-    calls within a worker never re-open or re-decode the file.  The memo
-    is bounded twice over — by entry count (``memo_entries``) and by
-    estimated array bytes (``memo_budget_bytes``, which matters for
-    long-lived services whose workload artifacts can each hold tens of
-    MB of activations) — with FIFO eviction, and decomposition entries
-    are memoised in their slim assignment-only form.
+    dict per store instance, keyed by content hash), so repeated
+    ``lookup`` calls within a worker never re-open or re-decode the
+    file.  The memo is bounded twice over — by entry count
+    (``memo_entries``) and by estimated array bytes
+    (``memo_budget_bytes``, which matters for long-lived services whose
+    workload artifacts can each hold tens of MB of activations) — with
+    FIFO eviction, and decomposition entries are memoised in their slim
+    assignment-only form.
 
-    ``hits`` / ``misses`` count ``get`` outcomes (memo and disk hits
-    both count as hits) and surface in the runner's stats line and the
-    bench trajectory as ``store_hits`` / ``store_misses``.
+    ``hits`` / ``misses`` count disk outcomes of ``get``; an answer from
+    the memo counts as neither, so ``hits`` is the number of artifacts
+    this store *reused* from disk.  They surface in the runner's stats
+    line and the bench trajectory as ``store_hits`` / ``store_misses``.
     """
 
     #: Maximum number of memoised artifacts per store instance.
@@ -401,8 +404,8 @@ class ArtifactStore:
     #: Approximate cap on the memo's total array payload, in bytes.
     memo_budget_bytes = 512 * 1024 * 1024
 
-    def __init__(self, root: pathlib.Path | str | None = None) -> None:
-        self.root = pathlib.Path(root) if root is not None else default_store_dir()
+    def __init__(self, root: pathlib.Path | str | None) -> None:
+        self.root = pathlib.Path(root) if root is not None else None
         self._memo: dict[str, Any] = {}
         self._memo_bytes = 0
         # One store instance is shared by every dispatcher thread of the
@@ -465,10 +468,14 @@ class ArtifactStore:
     def lookup(self, kind: str, payload: Mapping[str, Any]) -> tuple[str, Any | None]:
         """Key of the ``kind`` artifact for ``payload``, plus the artifact.
 
-        The artifact is ``None`` on a miss.
+        The memo answers first, without counting; otherwise :meth:`get`
+        reads the disk.  The artifact is ``None`` on a miss.
         """
         key = self.key(kind, payload)
-        return key, self.get(kind, key)
+        found = self._memoised(key)
+        if found is None:
+            found = self.get(kind, key)
+        return key, found
 
     def path_for(self, key: str) -> pathlib.Path:
         """File that stores (or would store) the artifact for ``key``."""
@@ -482,8 +489,10 @@ class ArtifactStore:
     def load_payload(self, key: str) -> np.ndarray | None:
         """The raw container payload for ``key`` as a read-only memmap.
 
-        ``None`` on miss or corruption.
+        ``None`` on miss or corruption, and always for a memory-only store.
         """
+        if self.root is None:
+            return None
         try:
             payload = np.load(self.path_for(key), mmap_mode="r")
         except (OSError, ValueError, EOFError):
@@ -497,16 +506,14 @@ class ArtifactStore:
         return payload
 
     def get(self, kind: str, key: str) -> Any | None:
-        """The stored artifact for ``key``, or ``None`` on miss.
+        """The artifact stored on disk for ``key``, or ``None`` on miss.
 
-        A corrupt or unreadable file counts as a miss: callers recompute
-        and overwrite rather than fail.  Array payloads of a disk hit
-        are read-only zero-copy views of the mapped file.
+        Reads the disk only (the memo is :meth:`lookup`'s), memoises what
+        it reads and counts the outcome in ``hits`` / ``misses``.  A
+        corrupt or unreadable file counts as a miss: callers recompute
+        and overwrite rather than fail.  Array payloads of a hit are
+        read-only zero-copy views of the mapped file.
         """
-        memoised = self._memoised(key)
-        if memoised is not None:
-            self._count("hits")
-            return memoised
         payload = self.load_payload(key)
         if payload is not None:
             try:
@@ -534,9 +541,11 @@ class ArtifactStore:
     def put(self, kind: str, key: str, artifact: Any) -> None:
         """Atomically persist ``artifact`` under ``key`` (and memoise it).
 
+        A memory-only store memoises the artifact and writes nothing.
+
         Decompositions are memoised in their stored (assignment-only)
         form, not as the full matrices the producer handed in — the
-        rebuild on a later ``get`` is cheap, while the full form would
+        rebuild on a later ``lookup`` is cheap, while the full form would
         pin roughly twice the workload's memory per configuration.
 
         An unwritable store (read-only directory, full disk, root
@@ -550,6 +559,8 @@ class ArtifactStore:
             self._memoise(key, _CODECS[kind][1](arrays))
         else:
             self._memoise(key, artifact)
+        if self.root is None:
+            return
         path = self.path_for(key)
         tmp_name = None
         try:
@@ -593,11 +604,13 @@ class ArtifactStore:
 
     def contains(self, key: str) -> bool:
         """Whether an artifact for ``key`` is memoised or on disk."""
-        return self._memoised(key) is not None or self.path_for(key).exists()
+        return self._memoised(key) is not None or (
+            self.root is not None and self.path_for(key).exists()
+        )
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        if not self.root.exists():
+        if self.root is None or not self.root.exists():
             return 0
         return sum(1 for _ in self.root.glob("*/*.npy"))
 
@@ -607,7 +620,7 @@ class ArtifactStore:
             self._memo.clear()
             self._memo_bytes = 0
         removed = 0
-        if not self.root.exists():
+        if self.root is None or not self.root.exists():
             return removed
         for path in self.root.glob("*/*.npy"):
             try:

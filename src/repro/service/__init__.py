@@ -52,7 +52,7 @@ from .client import (
     ServiceError,
 )
 from .db import SCHEMA_VERSION, SchemaMismatch, ServiceDB
-from .fleet import FleetCoordinator, FleetError, UnknownWorker, WorkUnit
+from .fleet import FleetCoordinator, FleetError, UnknownWorker
 from .http import ServiceServer, serve
 from .jobs import (
     DONE,
@@ -95,6 +95,5 @@ __all__ = [
     "ServiceServer",
     "ServiceUnavailable",
     "UnknownWorker",
-    "WorkUnit",
     "serve",
 ]

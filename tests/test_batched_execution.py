@@ -248,6 +248,20 @@ class TestUnitDispatch:
         assert parallel_engine.store.misses == serial_engine.store.misses > 0
         assert parallel_engine.store.hits > 0
 
+    def test_store_counts_disk_outcomes_only(self, tmp_path):
+        """Memo answers are not store hits: a cold run only misses.
+
+        Three units read one workload, three calibrations and three
+        decompositions: seven artifacts.  A cold run misses each once;
+        a new store instance on the same root then hits each once.
+        """
+        points = three_unit_points()
+        cold, cold_engine = _run(points, store=ArtifactStore(tmp_path))
+        assert (cold_engine.store.hits, cold_engine.store.misses) == (0, 7)
+        warm, warm_engine = _run(points, store=ArtifactStore(tmp_path))
+        assert (warm_engine.store.hits, warm_engine.store.misses) == (7, 0)
+        assert warm == cold
+
     def test_pool_workers_split_the_cores_between_their_blas(self):
         """Each worker's BLAS runs on the cores divided by the pool size."""
         if not os.path.exists("/proc/self/maps") or _blas_threads() is None:

@@ -303,23 +303,6 @@ class TestAcceleratorModelInterface:
             assert cls.simulate is BaselineAccelerator.simulate, name
             assert cls.simulate_layer is BaselineAccelerator.simulate_layer, name
 
-    def test_inconsistent_dram_override_fails_loudly(self):
-        """layer_dram_bytes overrides that desync latency from the traffic
-        component fields must raise, not silently disagree."""
-
-        class BrokenTraffic(BaselineAccelerator):
-            name = "broken"
-
-            def layer_compute_cycles(self, layer):
-                return 1.0
-
-            def layer_dram_bytes(self, layer):
-                return 1e6  # not the sum of the component fields
-
-        workload = generate_random_workload(density=0.2, m=16, k=16, n=8, seed=0)
-        with pytest.raises(ValueError, match="disagrees"):
-            BrokenTraffic().simulate_layer(workload[0])
-
     def test_models_emit_canonical_results(self):
         workload = generate_random_workload(density=0.2, m=32, k=32, n=8, seed=7)
         for name in BASELINE_CLASSES:

@@ -27,7 +27,6 @@ from repro.runner import (
     SweepEngine,
     SweepPoint,
     WorkloadSpec,
-    calibration_for,
 )
 from repro.runner.store import (
     KIND_CALIBRATION,
@@ -160,6 +159,19 @@ class TestArtifactRoundtrips:
         assert store.clear() == 3
         assert len(store) == 0
 
+    def test_memory_only_store_touches_no_disk(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        store = ArtifactStore(None)
+        workload = tiny_workload()
+        key, found = store.lookup(KIND_WORKLOAD, {"seed": 0})
+        assert found is None
+        store.put(KIND_WORKLOAD, key, workload)
+        assert store.lookup(KIND_WORKLOAD, {"seed": 0})[1] is workload
+        assert store.get(KIND_WORKLOAD, key) is None
+        assert store.contains(key) and len(store) == 0
+        assert store.clear() == 0 and not store.contains(key)
+        assert not list(tmp_path.iterdir())
+
 
 class TestConcurrentWrites:
     def test_concurrent_puts_never_corrupt_or_duplicate(self, tmp_path):
@@ -225,8 +237,7 @@ class TestConcurrentWrites:
 def _clear_process_memos() -> None:
     """Drop every in-process memo so only the on-disk store can serve."""
     cached_workload.cache_clear()
-    engine_module._CALIBRATION_MEMO.clear()
-    engine_module._random_workload.cache_clear()
+    engine_module._MEMO.clear()
 
 
 class TestStoreBackedEngine:
@@ -322,11 +333,38 @@ class TestStoreBackedEngine:
         _clear_process_memos()
         assert from_disk == SweepEngine().run([point])[0]
 
-    def test_calibration_for_does_not_mutate_workloads(self):
-        workload = tiny_workload(seed=7)
-        calibration_for(workload, tiny_config())
-        assert not hasattr(workload, "_phi_calibration_cache")
-        assert "_phi_calibration_cache" not in vars(workload)
+    def test_storeless_run_does_not_mutate_workloads(self):
+        point = tiny_points(1)[0]
+        _clear_process_memos()
+        workload = engine_module._stored_base_workload(point.workload)
+        before = dict(vars(workload))
+        SweepEngine().run([point])
+        assert engine_module._stored_base_workload(point.workload) is workload
+        assert vars(workload) == before
+
+    def test_storeless_runs_share_artifacts_through_the_memo(
+        self, monkeypatch, counted_kmeans
+    ):
+        """Two store-less engines calibrate and decompose one unit once."""
+        import repro.core.calibration as calibration_module
+
+        decompositions = {"n": 0}
+        original = calibration_module.decompose_matrix
+
+        def counting(*args, **kwargs):
+            decompositions["n"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(calibration_module, "decompose_matrix", counting)
+        point = tiny_points(1)[0]
+        _clear_process_memos()
+        first = SweepEngine().run([point])[0]
+        decomposed = decompositions["n"]
+        assert counted_kmeans["n"] == 1 and decomposed > 0
+        second = SweepEngine().run([point])[0]
+        assert counted_kmeans["n"] == 1
+        assert decompositions["n"] == decomposed
+        assert first == second
 
 
 class TestParallelDeterminism:
@@ -536,6 +574,6 @@ class TestStoreFailurePaths:
         with pytest.warns(RuntimeWarning, match="not writable"):
             store.put(KIND_WORKLOAD, key, workload)
         # Same instance: served from the memo.  Fresh instance: a miss.
-        assert store.get(KIND_WORKLOAD, key) is workload
+        assert store.lookup(KIND_WORKLOAD, {"memo-only": True})[1] is workload
         assert ArtifactStore(tmp_path).get(KIND_WORKLOAD, key) is None
         assert not list(tmp_path.rglob("*.tmp")), "failed put must clean up"
