@@ -24,7 +24,8 @@ def _pack_utilization(workload, scale, windows: int) -> float:
     calibrator = PhiCalibrator(scale.phi_config())
     layer = max(workload, key=lambda l: l.m * l.k)
     calibration = calibrator.calibrate_layer(layer.name, layer.activations)
-    utilizations = []
+    # One compressed tile per K partition, laid end to end as one layer.
+    row_ids, row_nonzeros, offsets, needs_psum = [], [], [0], []
     for p, (start, stop) in enumerate(
         zip(range(0, layer.k, 16), range(16, layer.k + 16, 16))
     ):
@@ -34,13 +35,20 @@ def _pack_utilization(workload, scale, windows: int) -> float:
         level2 = decompose_tile(tile, calibration.pattern_sets[p]).level2
         per_row = np.count_nonzero(level2, axis=1)
         kept = np.flatnonzero(per_row)
-        compressed = CompressedCounts(
-            row_ids=kept, row_nonzeros=per_row[kept], needs_psum=p > 0
-        )
-        [counts] = pack_counts_batch([(arch, compressed)])
-        if counts.num_packs:
-            utilizations.append(counts.total_units / (counts.num_packs * arch.pack_size))
-    return float(np.mean(utilizations)) if utilizations else 0.0
+        row_ids.append(kept)
+        row_nonzeros.append(per_row[kept])
+        offsets.append(offsets[-1] + kept.size)
+        needs_psum.append(p > 0)
+    compressed = CompressedCounts(
+        row_ids=np.concatenate(row_ids),
+        row_nonzeros=np.concatenate(row_nonzeros),
+        offsets=np.array(offsets),
+        needs_psum=np.array(needs_psum),
+    )
+    [counts] = pack_counts_batch([(arch, compressed)])
+    packed = counts.num_packs > 0
+    utilizations = counts.total_units[packed] / (counts.num_packs[packed] * arch.pack_size)
+    return float(np.mean(utilizations)) if utilizations.size else 0.0
 
 
 def test_ablation_packer_windows(benchmark, scale):

@@ -11,12 +11,9 @@ packs, plus a small drain term.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .config import ArchConfig
-from .preprocessor import PackCounts
 
 
 class L2Processor:
@@ -28,16 +25,13 @@ class L2Processor:
     def __init__(self, config: ArchConfig) -> None:
         self.config = config
 
-    def pack_cycles_for(self, counts_list: Sequence[PackCounts]) -> np.ndarray:
+    def pack_cycles_for(self, packs: np.ndarray) -> np.ndarray:
         """Per-tile L2 cycle counts for a whole layer in one pass.
 
-        Element ``i`` is tile ``i``'s pack count plus one pipeline drain
+        ``packs[i]`` is tile ``i``'s pack count.  Element ``i`` of the
+        result is that count plus one pipeline drain
         (:attr:`PIPELINE_DEPTH`) when the tile has any pack; a tile
         without packs costs nothing.
         """
-        packs = np.fromiter(
-            (counts.num_packs for counts in counts_list),
-            dtype=np.int64,
-            count=len(counts_list),
-        )
+        packs = np.asarray(packs, dtype=np.int64)
         return packs + (packs > 0) * self.PIPELINE_DEPTH

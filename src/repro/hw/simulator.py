@@ -14,7 +14,8 @@ Execution model per layer (K-first tiling, Section 4.1), expressed as a
 * **preprocess** — the preprocessor converts every (M tile, partition)
   into the Level 1 pattern-index column and the packed Level 2
   representation; this work is overlapped with the previous tile's
-  compute, so it adds energy but no critical-path cycles,
+  compute, so it adds energy but no critical-path cycles (the stage
+  reduces the layer's per-tile pack arrays in NumPy),
 * **compute** — per output tile (M tile, N tile) the L1 and L2
   processors run concurrently and synchronise at the tile boundary, so
   the tile's compute latency is the maximum of the two,
@@ -29,10 +30,13 @@ model run aggregates into :class:`~repro.hw.pipeline.RunResult` — the
 same schema every baseline accelerator reports through.
 
 Every simulation runs through :func:`simulate_phi_many`: it decomposes
-each layer it was given no decomposition for, plans its preprocessing
-and packs the jobs of every layer of every task in one lockstep batch,
-then runs the stages, which only read what it seeded into the context.  :meth:`PhiSimulator.simulate` and
-:meth:`PhiSimulator.simulate_layer` are batches of one.
+each layer it was given no decomposition for, plans each layer's
+preprocessing once per distinct ``(decomposition, tile_m, tile_k)``
+into one :class:`~repro.hw.preprocessor.CompressedCounts` of per-layer
+arrays, packs every layer of every task in one lockstep batch, then
+runs the stages, which only read what it seeded into the context.
+:meth:`PhiSimulator.simulate` and :meth:`PhiSimulator.simulate_layer`
+are batches of one.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import numpy as np
 from ..core.calibration import LayerCalibration, ModelCalibration, PhiCalibrator
 from ..core.config import PhiConfig
 from ..core.metrics import decomposition_metrics
-from ..core.sparsity import decompose_matrix, partition_boundaries
+from ..core.sparsity import decompose_matrix
 from ..workloads.workload import LayerWorkload, ModelWorkload
 from .config import ArchConfig
 from .energy import EnergyBreakdown, PhiEnergyModel
@@ -60,12 +64,7 @@ from .pipeline import (
     RunResult,
     StageRecord,
 )
-from .preprocessor import (
-    EMPTY_PACK_COUNTS,
-    CompressedCounts,
-    PackCounts,
-    pack_counts_batch,
-)
+from .preprocessor import CompressedCounts, pack_counts_batch
 
 class PhiTilingStage:
     """Tiling: record the layer's M × K × N tile grid.
@@ -105,78 +104,69 @@ class PhiTilingStage:
 class PreprocessPlan:
     """Per-layer preprocessing work, planned ahead of execution.
 
-    Carries one :class:`~repro.hw.preprocessor.CompressedCounts` per
-    (M tile, partition) pair — M-tile-major, partition-minor, the exact
-    iteration order of :class:`PhiPreprocessStage` — plus the per-
-    partition pattern counts the matcher-comparison counter needs.
-    Planning is separated from execution so :func:`simulate_phi_many`
-    can pack the jobs of many layers and many configurations in a single
-    lockstep pass.
+    ``compressed`` is one :class:`~repro.hw.preprocessor.CompressedCounts`
+    holding every (M tile, partition) tile of the layer — M-tile-major,
+    partition-minor — and ``pattern_counts`` the per-partition pattern
+    counts the matcher-comparison counter needs.  Planning is separated
+    from execution so :func:`simulate_phi_many` can pack many layers
+    under many configurations in a single lockstep pass.
     """
 
     m_tiles: list[tuple[int, int]]
     num_partitions: int
     pattern_counts: tuple[int, ...]
-    compressed: list[CompressedCounts]
+    compressed: CompressedCounts
 
 
-def plan_preprocess(
-    arch: ArchConfig,
-    calibration: LayerCalibration,
-    decomposition,
-    layer: LayerWorkload,
-) -> PreprocessPlan:
-    """Plan the preprocessor's compressor and packer jobs for one layer.
+def plan_preprocess(arch: ArchConfig, decomposition) -> PreprocessPlan:
+    """Plan the preprocessor's compressor and packer work for one layer.
 
-    This is the simulator's compressor: the per-(M tile, partition)
+    This is the simulator's compressor: every (M tile, partition) tile's
     compressed counts — the tile-local ids and nonzero counts of the
     Level 2 rows that survive zero-row filtering — come out of one
     vectorized pass over the decomposition's ``(M, partitions)`` Level 2
-    nonzero counts.
-    Every job's ``row_ids`` and ``row_nonzeros`` are views into two
-    per-layer arrays in job order: ``int16`` ids (``int32`` for M tiles
-    over 32,768 rows) and counts in the smallest dtype that holds
-    ``tile_k``.  Only partitions after the first carry a partial sum.
+    nonzero counts, into two per-layer arrays in tile order: ``int16``
+    ids (``int32`` for M tiles over 32,768 rows) and counts in the
+    smallest dtype that holds ``tile_k``.  Only partitions after the
+    first carry a partial sum.  The plan reads nothing of ``arch`` but
+    ``tile_m`` and ``tile_k``, and of the decomposition only its Level 2
+    counts and pattern sets.
     """
-    boundaries = partition_boundaries(layer.k, arch.tile_k)
-    num_partitions = len(boundaries)
+    num_rows, num_partitions = decomposition.level2_nonzeros.shape
     m_tiles = [
-        (m_start, min(m_start + arch.tile_m, layer.m))
-        for m_start in range(0, layer.m, arch.tile_m)
+        (m_start, min(m_start + arch.tile_m, num_rows))
+        for m_start in range(0, num_rows, arch.tile_m)
     ]
     # Rows padded to whole M tiles (padding rows count zero nonzeros, so
-    # the compressor drops them), then laid out job-major: M tile, then
+    # the compressor drops them), then laid out tile-major: M tile, then
     # partition, then tile-local row.
     nnz = np.zeros(
         (len(m_tiles) * arch.tile_m, num_partitions),
         dtype=np.min_scalar_type(arch.tile_k),
     )
-    nnz[: layer.m] = decomposition.level2_nonzeros
-    by_job = nnz.reshape(len(m_tiles), arch.tile_m, num_partitions).transpose(0, 2, 1)
-    by_job = by_job.reshape(-1, arch.tile_m)
-    kept = by_job != 0
-    row_nonzeros = by_job[kept]
+    nnz[:num_rows] = decomposition.level2_nonzeros
+    by_tile = nnz.reshape(len(m_tiles), arch.tile_m, num_partitions).transpose(0, 2, 1)
+    by_tile = by_tile.reshape(-1, arch.tile_m)
+    kept = by_tile != 0
+    row_nonzeros = by_tile[kept]
     local_ids = np.arange(
         arch.tile_m, dtype=np.int16 if arch.tile_m <= 2**15 else np.int32
     )
-    row_ids = np.broadcast_to(local_ids, by_job.shape)[kept]
-    offsets = np.concatenate(([0], np.cumsum(np.count_nonzero(kept, axis=1))))
-    offsets = offsets.tolist()
-    compressed = [
-        CompressedCounts(
-            row_ids=row_ids[start:stop],
-            row_nonzeros=row_nonzeros[start:stop],
-            needs_psum=job % num_partitions > 0,
-        )
-        for job, (start, stop) in enumerate(zip(offsets[:-1], offsets[1:]))
-    ]
+    row_ids = np.broadcast_to(local_ids, by_tile.shape)[kept]
+    offsets = np.zeros(by_tile.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(kept, axis=1), out=offsets[1:])
     return PreprocessPlan(
         m_tiles=m_tiles,
         num_partitions=num_partitions,
         pattern_counts=tuple(
-            pattern_set.num_patterns for pattern_set in calibration.pattern_sets
+            pattern_set.num_patterns for pattern_set in decomposition.pattern_sets
         ),
-        compressed=compressed,
+        compressed=CompressedCounts(
+            row_ids=row_ids,
+            row_nonzeros=row_nonzeros,
+            offsets=offsets,
+            needs_psum=np.arange(by_tile.shape[0]) % num_partitions > 0,
+        ),
     )
 
 
@@ -188,7 +178,8 @@ class PhiPreprocessStage:
     critical path.  The pack machines of every (M tile, partition) run
     in :func:`simulate_phi_many`'s lockstep batch
     (:func:`~repro.hw.preprocessor.pack_counts_batch`), which seeds this
-    layer's ``preprocess_plan`` and ``preprocess_packed`` slice.
+    layer's ``preprocess_plan`` and its per-tile ``preprocess_packed``
+    counts.
     """
 
     name = "preprocess"
@@ -201,28 +192,18 @@ class PhiPreprocessStage:
         plan = ctx.scratch.pop("preprocess_plan")
         packed = ctx.scratch.pop("preprocess_packed")
 
-        packs_per_tile: list[PackCounts] = []
-        preproc_cycles = 0.0
-        match_comparisons = 0
-        l2_nonzeros_total = 0
-        job = 0
-        for m_start, m_stop in plan.m_tiles:
-            rows = m_stop - m_start
-            tile_packs = EMPTY_PACK_COUNTS
-            tile_preproc = 0.0
-            for p in range(plan.num_partitions):
-                counts = packed[job]
-                job += 1
-                tile_packs = tile_packs.merge(counts)
-                # Matcher and compressor sustain one row per cycle and the
-                # packer one kept row per cycle; the pipelined cost of the
-                # tile is the max of the three (= its row count).
-                tile_preproc += max(rows, counts.cycles)
-                match_comparisons += rows * plan.pattern_counts[p]
-                # Every weight unit is one Level 2 correction.
-                l2_nonzeros_total += counts.weight_units
-            packs_per_tile.append(tile_packs)
-            preproc_cycles += tile_preproc
+        shape = (len(plan.m_tiles), plan.num_partitions)
+        rows = np.array([stop - start for start, stop in plan.m_tiles])
+        # Matcher and compressor sustain one row per cycle and the packer
+        # one kept row per cycle; the pipelined cost of a (M tile,
+        # partition) is the max of the three (= its row count).
+        preproc_cycles = float(
+            np.maximum(rows[:, None], packed.cycles.reshape(shape)).sum()
+        )
+        match_comparisons = int(rows.sum()) * sum(plan.pattern_counts)
+        # Every weight unit is one Level 2 correction.
+        l2_nonzeros_total = int(packed.weight_units.sum())
+        packs_per_tile = packed.num_packs.reshape(shape).sum(axis=1)
 
         ctx.scratch.update(
             packs_per_tile=packs_per_tile,
@@ -236,7 +217,7 @@ class PhiPreprocessStage:
             detail={
                 "match_comparisons": match_comparisons,
                 "l2_nonzeros": l2_nonzeros_total,
-                "packs": sum(counts.num_packs for counts in packs_per_tile),
+                "packs": int(packs_per_tile.sum()),
             },
         )
 
@@ -602,11 +583,11 @@ def simulate_phi_many(
 ) -> list[RunResult]:
     """Simulate many (simulator, workload) tasks as one stacked batch.
 
-    This is the one Phi execution path: the preprocessing jobs of every
-    layer of every task — potentially under *different* Phi/arch
-    configurations — are planned first, packed in a single lockstep batch
-    (:func:`~repro.hw.preprocessor.pack_counts_batch`), and the per-task
-    pipelines then consume their slice of the batch.  A task's result
+    This is the one Phi execution path: the preprocessing of every layer
+    of every task — potentially under *different* Phi/arch
+    configurations — is planned first, every layer is packed in a single
+    lockstep batch (:func:`~repro.hw.preprocessor.pack_counts_batch`),
+    and the per-task pipelines then consume their layers' results.  A task's result
     does not depend on the batch it runs in, because every per-layer
     quantity is computed by the same (deterministic) code on the same
     inputs — only the loop structure changes (property-tested).
@@ -614,7 +595,11 @@ def simulate_phi_many(
     A layer without a given decomposition is decomposed here.  Callers
     that batch many tasks (the sweep engine) pass each unit's shared
     decompositions, and the density/op-count metrics are read once per
-    distinct decomposition (keyed by identity).
+    distinct decomposition (keyed by identity).  The preprocessing plan
+    depends only on the decomposition and the tile sizes, so it is
+    memoised on ``(id(decomposition), tile_m, tile_k)``: the points of a
+    buffer sweep share one plan per layer, and the packer packs that
+    shared :class:`~repro.hw.preprocessor.CompressedCounts` once.
 
     Parameters
     ----------
@@ -628,9 +613,10 @@ def simulate_phi_many(
     list of RunResult
         One result per task, in input order.
     """
-    prepared = []  # (simulator, RunResult, [(ctx, job_start, job_stop)])
+    prepared = []  # (simulator, RunResult, [(ctx, job)])
     jobs: list[tuple] = []
     metrics_memo: dict[int, tuple] = {}
+    plan_memo: dict[tuple[int, int, int], PreprocessPlan] = {}
     for simulator, workload, calibration, decompositions in tasks:
         result = RunResult(
             accelerator=simulator.name,
@@ -653,21 +639,22 @@ def simulate_phi_many(
                     decomposition
                 )
             ctx.scratch["ops"], ctx.scratch["breakdown"] = metrics
-            plan = plan_preprocess(
-                simulator.arch, layer_calibration, decomposition, layer
-            )
+            arch = simulator.arch
+            plan_key = (id(decomposition), arch.tile_m, arch.tile_k)
+            plan = plan_memo.get(plan_key)
+            if plan is None:
+                plan = plan_memo[plan_key] = plan_preprocess(arch, decomposition)
             ctx.scratch["preprocess_plan"] = plan
-            start = len(jobs)
-            jobs.extend((simulator.arch, compressed) for compressed in plan.compressed)
-            contexts.append((ctx, start, len(jobs)))
+            contexts.append((ctx, len(jobs)))
+            jobs.append((arch, plan.compressed))
         prepared.append((simulator, result, contexts))
 
     packed = pack_counts_batch(jobs)
 
     results = []
     for simulator, result, contexts in prepared:
-        for ctx, start, stop in contexts:
-            ctx.scratch["preprocess_packed"] = packed[start:stop]
+        for ctx, job in contexts:
+            ctx.scratch["preprocess_packed"] = packed[job]
             result.layers.append(simulator.pipeline.run_layer(ctx))
         results.append(result)
     return results

@@ -94,8 +94,11 @@ class ResultCache:
             dir=path.parent, prefix=path.stem, suffix=".tmp"
         )
         try:
+            # ``json.dumps`` takes CPython's C encoder; ``json.dump`` to a
+            # file never does, and encodes the same bytes about half as fast.
+            text = json.dumps(record, sort_keys=True)
             with os.fdopen(fd, "w") as handle:
-                json.dump(record, handle, sort_keys=True)
+                handle.write(text)
             os.replace(tmp_name, path)
         except BaseException:
             try:

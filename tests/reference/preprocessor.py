@@ -7,7 +7,9 @@ packer places every row's :class:`PackUnit` objects into
 :class:`Pack` windows, and the L2 processor costs one cycle per pack plus
 a pipeline drain.  Tests check the counter-level path the simulator runs
 (``CompressedCounts``, ``pack_counts_batch`` and
-``L2Processor.pack_cycles_for``) against it.
+``L2Processor.pack_cycles_for``) against it, tile by tile: the simulator
+packs one ``CompressedCounts`` per layer, which :func:`stack_tiles`
+builds from one-tile ones.
 """
 
 from __future__ import annotations
@@ -185,14 +187,42 @@ def compress(level2: np.ndarray, *, needs_psum: bool = True) -> CompressorResult
 
 
 def counts_of(compressed: CompressorResult, needs_psum: bool) -> CompressedCounts:
-    """The compressed rows as the per-row counts the simulator packs."""
+    """The compressed rows as a one-tile layer of the counts the simulator packs."""
     return CompressedCounts(
         row_ids=np.array([row.row_id for row in compressed.rows], dtype=np.int64),
         row_nonzeros=np.array(
             [row.num_nonzeros for row in compressed.rows], dtype=np.int64
         ),
-        needs_psum=needs_psum,
+        offsets=np.array([0, len(compressed.rows)], dtype=np.int64),
+        needs_psum=np.array([needs_psum]),
     )
+
+
+def stack_tiles(layers: list[CompressedCounts]) -> CompressedCounts:
+    """One layer holding every tile of ``layers``, in order."""
+    sizes = [layer.row_ids.size for layer in layers]
+    starts = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+    return CompressedCounts(
+        row_ids=np.concatenate(
+            [layer.row_ids for layer in layers] or [np.zeros(0, dtype=np.int64)]
+        ),
+        row_nonzeros=np.concatenate(
+            [layer.row_nonzeros for layer in layers] or [np.zeros(0, dtype=np.int64)]
+        ),
+        offsets=np.concatenate(
+            [[0]]
+            + [layer.offsets[1:] + start for layer, start in zip(layers, starts)]
+        ).astype(np.int64),
+        needs_psum=np.concatenate(
+            [layer.needs_psum for layer in layers] or [np.zeros(0, dtype=bool)]
+        ),
+    )
+
+
+def tile_rows(counts: CompressedCounts, tile: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tile ``tile``'s row ids and nonzero counts."""
+    start, stop = counts.offsets[tile], counts.offsets[tile + 1]
+    return counts.row_ids[start:stop], counts.row_nonzeros[start:stop]
 
 
 @dataclass

@@ -56,20 +56,74 @@ level2_tiles = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(tiles=level2_tiles, needs_psum=st.booleans())
 def test_pack_cycles_for_matches_scalar_path(tiles, needs_psum):
-    """``pack_cycles_for`` element i == the oracle's L2 cycles for tile i."""
+    """``pack_cycles_for`` element i == the oracle's L2 cycles for tile i.
+
+    The tiles form one layer, packed as the simulator packs a layer.
+    """
     arch = ArchConfig()
-    jobs = []
+    layer = []
     expected = []
     for level2 in tiles:
         compressed = oracle.compress(level2, needs_psum=needs_psum)
         packs = oracle.pack_rows(arch, compressed.rows).packs
         expected.append(oracle.process_packs_cycles(packs))
-        jobs.append((arch, oracle.counts_of(compressed, needs_psum)))
-    counts_list = pack_counts_batch(jobs)
-    batched = L2Processor(arch).pack_cycles_for(counts_list)
+        layer.append(oracle.counts_of(compressed, needs_psum))
+    [counts] = pack_counts_batch([(arch, oracle.stack_tiles(layer))])
+    batched = L2Processor(arch).pack_cycles_for(counts.num_packs)
     assert batched.dtype == np.int64
     assert batched.shape == (len(tiles),)
     assert batched.tolist() == expected
+
+
+def test_buffer_scaling_batch_plans_and_packs_each_layer_once(
+    vgg_workload, monkeypatch
+):
+    """Five archs that differ only in buffers share one decomposition per
+    layer: ``simulate_phi_many`` plans and packs each layer once, and
+    every task's result equals its own batch of one."""
+    from repro.core import PhiCalibrator
+    from repro.hw import PhiSimulator, preprocessor
+    from repro.hw import simulator as simulator_module
+
+    base = ArchConfig()
+    simulators = [
+        PhiSimulator(base.with_overrides(buffers=base.buffers.scaled(factor)))
+        for factor in (0.5, 0.75, 1.0, 1.5, 3.0)
+    ]
+    calibration = PhiCalibrator(simulators[0].phi_config).calibrate_model(
+        vgg_workload.activation_matrices()
+    )
+    decompositions = {
+        layer.name: calibration[layer.name].decompose(layer.activations)
+        for layer in vgg_workload
+    }
+    planned = []
+    packed = []
+    plan_preprocess = simulator_module.plan_preprocess
+    lockstep = preprocessor._pack_counts_lockstep
+
+    def counting_plan(arch, decomposition):
+        planned.append(decomposition)
+        return plan_preprocess(arch, decomposition)
+
+    def counting_lockstep(layers, *machine):
+        packed.extend(layers)
+        return lockstep(layers, *machine)
+
+    monkeypatch.setattr(simulator_module, "plan_preprocess", counting_plan)
+    monkeypatch.setattr(preprocessor, "_pack_counts_lockstep", counting_lockstep)
+    results = simulator_module.simulate_phi_many(
+        [(sim, vgg_workload, calibration, decompositions) for sim in simulators]
+    )
+    assert [id(d) for d in planned] == [id(d) for d in decompositions.values()]
+    assert len(packed) == len(vgg_workload)
+    monkeypatch.undo()
+
+    for sim, result in zip(simulators, results):
+        alone = sim.simulate(
+            vgg_workload, calibration=calibration, decompositions=decompositions
+        )
+        assert result.layers == alone.layers
 
 
 # --------------------------------------------------------------------- #

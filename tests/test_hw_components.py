@@ -21,12 +21,7 @@ from repro.hw import ArchConfig, BufferSizes, PhiEnergyModel, PhiSimulator
 from repro.hw.l1_processor import L1Processor
 from repro.hw.l2_processor import L2Processor
 from repro.hw.neuron_array import SpikingNeuronArray
-from repro.hw.preprocessor import (
-    EMPTY_PACK_COUNTS,
-    CompressedCounts,
-    PackCounts,
-    pack_counts_batch,
-)
+from repro.hw.preprocessor import CompressedCounts, pack_counts_batch
 from repro.hw.simulator import plan_preprocess
 from repro.workloads.workload import LayerWorkload
 
@@ -161,8 +156,8 @@ class TestCompressorAndPacker:
         [counts] = pack_counts_batch(
             [(arch, oracle.counts_of(oracle.CompressorResult(rows, 10, 0), needs_psum=True))]
         )
-        assert counts.total_units == result.total_units
-        assert counts.num_packs == len(result.packs)
+        assert counts.total_units.tolist() == [result.total_units]
+        assert counts.num_packs.tolist() == [len(result.packs)]
 
     def test_packer_avoids_psum_bank_conflicts(self, arch):
         # Rows 0 and 8 share a bank (8 banks); they must not share a pack.
@@ -177,7 +172,7 @@ class TestCompressorAndPacker:
         [counts] = pack_counts_batch(
             [(arch, oracle.counts_of(oracle.CompressorResult(rows, 9, 7), needs_psum=True))]
         )
-        assert counts.num_packs == len(result.packs) == 2
+        assert counts.num_packs.tolist() == [len(result.packs)] == [2]
 
     def test_packer_splits_oversized_rows(self, arch):
         row = CompressedRow(
@@ -188,8 +183,8 @@ class TestCompressorAndPacker:
         [counts] = pack_counts_batch(
             [(arch, oracle.counts_of(oracle.CompressorResult([row], 1, 0), needs_psum=True))]
         )
-        assert counts.total_units == 13
-        assert counts.num_packs == len(result.packs)
+        assert counts.total_units.tolist() == [13]
+        assert counts.num_packs.tolist() == [len(result.packs)]
 
     def test_preprocessor_end_to_end(self, arch, small_patterns, rng):
         tile = (rng.random((40, 8)) < 0.25).astype(np.uint8)
@@ -202,8 +197,8 @@ class TestCompressorAndPacker:
         )
         assert packed_nonzeros == nnz
         [counts] = pack_counts_batch([(arch, oracle.counts_of(compressed, needs_psum=True))])
-        assert counts.weight_units == nnz
-        assert counts.num_packs == len(packed.packs)
+        assert counts.weight_units.tolist() == [nnz]
+        assert counts.num_packs.tolist() == [len(packed.packs)]
 
 
 class TestL1Processor:
@@ -238,15 +233,12 @@ class TestL2Processor:
             pack = Pack(arch.pack_size)
             pack.add_row([PackUnit(LABEL_NONZERO, 0, 1, i), PackUnit(LABEL_PSUM, i, 1, i)])
             packs.append(pack)
-        counts = PackCounts(
-            num_packs=5, weight_units=5, psum_units=5, cycles=5, evictions=0
-        )
-        cycles = L2Processor(arch).pack_cycles_for([counts])
+        cycles = L2Processor(arch).pack_cycles_for(np.array([5]))
         assert cycles.tolist() == [5 + L2Processor.PIPELINE_DEPTH]
         assert oracle.process_packs_cycles(packs) == cycles[0]
 
     def test_empty_packs(self, arch):
-        cycles = L2Processor(arch).pack_cycles_for([EMPTY_PACK_COUNTS])
+        cycles = L2Processor(arch).pack_cycles_for(np.array([0]))
         assert cycles.tolist() == [0] == [oracle.process_packs_cycles([])]
 
 
@@ -272,30 +264,30 @@ class TestCountsFastPath:
     @pytest.mark.parametrize("density", [0.0, 0.1, 0.6])
     def test_compress_counts_matches_compress(self, needs_psum, density):
         # plan_preprocess is the simulator's compressor: each (M tile,
-        # partition) job must equal the oracle compressing that slice.
+        # partition) tile must equal the oracle compressing that slice.
         arch = ArchConfig(tile_m=16, num_patterns=4)
         rng = np.random.default_rng(7)
         activations = (rng.random((40, 48)) < density).astype(np.uint8)
-        layer = LayerWorkload("layer", activations, np.ones((48, 4)))
         calibration = PhiCalibrator(
             PhiConfig(partition_size=16, num_patterns=4)
         ).calibrate_layer("layer", activations)
         decomposition = decompose_matrix(activations, calibration.pattern_sets, 16)
-        plan = plan_preprocess(arch, calibration, decomposition, layer)
-        jobs = iter(plan.compressed)
+        plan = plan_preprocess(arch, decomposition)
+        counts = plan.compressed
+        assert counts.offsets.size == len(plan.m_tiles) * plan.num_partitions + 1
+        tiles = iter(range(counts.offsets.size - 1))
         checked = 0
         for m_start, m_stop in plan.m_tiles:
             for p, tile in enumerate(decomposition.tiles):
-                counts = next(jobs)
-                assert counts.needs_psum == (p > 0)
-                if counts.needs_psum != needs_psum:
+                t = next(tiles)
+                assert counts.needs_psum[t] == (p > 0)
+                if counts.needs_psum[t] != needs_psum:
                     continue
                 want = oracle.compress(tile.level2[m_start:m_stop], needs_psum=needs_psum)
-                assert counts.total_nonzeros == want.total_nonzeros
-                assert counts.row_ids.tolist() == [row.row_id for row in want.rows]
-                assert counts.row_nonzeros.tolist() == [
-                    row.num_nonzeros for row in want.rows
-                ]
+                row_ids, row_nonzeros = oracle.tile_rows(counts, t)
+                assert int(row_nonzeros.sum()) == want.total_nonzeros
+                assert row_ids.tolist() == [row.row_id for row in want.rows]
+                assert row_nonzeros.tolist() == [row.num_nonzeros for row in want.rows]
                 checked += 1
         assert checked == len(plan.m_tiles) * (2 if needs_psum else 1)
 
@@ -317,40 +309,55 @@ class TestCountsFastPath:
         level2_counts = np.count_nonzero(level2, axis=1)
         plan = plan_preprocess(
             arch,
-            SimpleNamespace(pattern_sets=()),
-            SimpleNamespace(level2_nonzeros=np.column_stack([level2_counts] * 2)),
-            SimpleNamespace(m=rows, k=32),
+            SimpleNamespace(
+                pattern_sets=(),
+                level2_nonzeros=np.column_stack([level2_counts] * 2),
+            ),
         )
-        assert plan.compressed[-1].row_ids[-1] == (rows - 1) % tile_m
-        jobs = iter(plan.compressed)
+        counts = plan.compressed
+        # The layer's compact arrays.
+        assert counts.row_ids.dtype == id_dtype
+        assert counts.row_nonzeros.dtype == np.uint8
+        assert counts.row_ids[-1] == (rows - 1) % tile_m
+        [got] = pack_counts_batch([(arch, counts)])
+        tiles = iter(range(counts.offsets.size - 1))
         for m_start, m_stop in plan.m_tiles:
             for p in range(2):
-                counts = next(jobs)
-                # Views into the layer's compact arrays.
-                assert counts.row_ids.dtype == id_dtype
-                assert counts.row_nonzeros.dtype == np.uint8
-                assert counts.row_ids.base is not None
+                t = next(tiles)
                 want = oracle.compress(level2[m_start:m_stop], needs_psum=p > 0)
-                assert counts.row_ids.tolist() == [row.row_id for row in want.rows]
-                [got] = pack_counts_batch([(arch, counts)])
+                row_ids, _ = oracle.tile_rows(counts, t)
+                assert row_ids.tolist() == [row.row_id for row in want.rows]
                 packed = oracle.pack_rows(arch, want.rows)
-                assert got.num_packs == len(packed.packs)
-                assert got.evictions == packed.evictions
+                assert got.num_packs[t] == len(packed.packs)
+                assert got.evictions[t] == packed.evictions
 
     def test_pack_batch_memory_per_compressed_row(self):
-        # A seeded fig7-sized batch: 2,400 jobs of 100-255 int16 rows with
-        # 1-16 nonzeros, so many rows span two 8-unit chunks, and every
-        # 9th job without a psum.  The packer keeps compact per-row
-        # arrays: its traced peak stays under 110 B per compressed row.
+        # A seeded fig7-sized batch: 24 layers of 100 tiles, each of
+        # 100-255 int16 rows with 1-16 nonzeros, so many rows span two
+        # 8-unit chunks, and every 9th tile without a psum.  The packer
+        # keeps compact per-row arrays: its traced peak stays under 110 B
+        # per compressed row.
         arch = ArchConfig()
         rng = np.random.default_rng(0)
-        jobs = []
-        for j in range(2400):
+        tiles = []
+        for t in range(2400):
             rows = int(rng.integers(100, 256))
             row_ids = np.sort(rng.choice(256, size=rows, replace=False))
             row_ids = row_ids.astype(np.int16)
             row_nonzeros = rng.integers(1, 17, size=rows).astype(np.uint8)
-            jobs.append((arch, CompressedCounts(row_ids, row_nonzeros, j % 9 != 0)))
+            tiles.append(
+                CompressedCounts(
+                    row_ids,
+                    row_nonzeros,
+                    np.array([0, rows], dtype=np.int64),
+                    np.array([t % 9 != 0]),
+                )
+            )
+        jobs = [
+            (arch, oracle.stack_tiles(tiles[start : start + 100]))
+            for start in range(0, len(tiles), 100)
+        ]
+        del tiles
         total_rows = sum(counts.row_ids.size for _, counts in jobs)
         tracemalloc.start()
         try:
@@ -358,7 +365,7 @@ class TestCountsFastPath:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(results) == len(jobs)
+        assert [counts.num_packs.size for counts in results] == [100] * 24
         assert peak / total_rows <= 110
 
     @pytest.mark.parametrize("needs_psum", [True, False])
@@ -372,18 +379,21 @@ class TestCountsFastPath:
         compressed = oracle.compress(level2, needs_psum=needs_psum)
         packed = oracle.pack_rows(config, compressed.rows)
         [counts] = pack_counts_batch([(config, oracle.counts_of(compressed, needs_psum))])
-        assert counts.num_packs == len(packed.packs)
-        assert counts.cycles == packed.cycles
-        assert counts.evictions == packed.evictions
-        assert counts.weight_units == sum(p.num_weight_units for p in packed.packs)
-        assert counts.psum_units == sum(p.num_psum_units for p in packed.packs)
-        assert counts.total_units == packed.total_units
+        assert counts.num_packs.tolist() == [len(packed.packs)]
+        assert counts.cycles.tolist() == [packed.cycles]
+        assert counts.evictions.tolist() == [packed.evictions]
+        assert counts.weight_units.tolist() == [
+            sum(p.num_weight_units for p in packed.packs)
+        ]
+        assert counts.psum_units.tolist() == [sum(p.num_psum_units for p in packed.packs)]
+        assert counts.total_units.tolist() == [packed.total_units]
 
     def test_process_pack_counts_matches_process_packs(self, arch):
-        # The L2 cycles the simulator costs from pack counts equal the
-        # oracle's cycles over the materialised packs, tile by tile.
+        # The L2 cycles the simulator costs from a layer's pack counts
+        # equal the oracle's cycles over the materialised packs, tile by
+        # tile.
         rng = np.random.default_rng(11)
-        jobs = []
+        tiles = []
         want = []
         for rows in (0, 1, 30, 120):
             level2 = self._random_level2(rng, rows, 16, 0.3)
@@ -391,6 +401,6 @@ class TestCountsFastPath:
             want.append(
                 oracle.process_packs_cycles(oracle.pack_rows(arch, compressed.rows).packs)
             )
-            jobs.append((arch, oracle.counts_of(compressed, True)))
-        counts_list = pack_counts_batch(jobs)
-        assert L2Processor(arch).pack_cycles_for(counts_list).tolist() == want
+            tiles.append(oracle.counts_of(compressed, True))
+        [counts] = pack_counts_batch([(arch, oracle.stack_tiles(tiles))])
+        assert L2Processor(arch).pack_cycles_for(counts.num_packs).tolist() == want

@@ -175,11 +175,11 @@ def test_warm_path_memory_per_row_partition():
             layer.activations, calibration.pattern_sets, 16, indices
         )
         decomposition_metrics(decomposition)
-        plan = plan_preprocess(arch, calibration, decomposition, layer)
+        plan = plan_preprocess(arch, decomposition)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(plan.compressed) == plan.num_partitions * len(plan.m_tiles)
+    assert plan.compressed.offsets.size == plan.num_partitions * len(plan.m_tiles) + 1
     assert peak / indices.size <= 20
 
 
@@ -191,11 +191,11 @@ def test_plan_memory_per_row_partition():
     decomposition = decompose_matrix(layer.activations, calibration.pattern_sets, 16)
     tracemalloc.start()
     try:
-        plan = plan_preprocess(ArchConfig(), calibration, decomposition, layer)
+        plan = plan_preprocess(ArchConfig(), decomposition)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(plan.compressed) == plan.num_partitions * len(plan.m_tiles)
+    assert plan.compressed.offsets.size == plan.num_partitions * len(plan.m_tiles) + 1
     assert peak / decomposition.pattern_indices.size <= 10
 
 

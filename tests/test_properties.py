@@ -294,14 +294,14 @@ def test_compress_and_pack_conserve_units(level2, needs_psum):
 
     [counts] = pack_counts_batch([(arch, oracle.counts_of(compressed, needs_psum))])
     expected_psums = nonzero_rows if needs_psum else 0
-    assert counts.total_units == compressed.total_nonzeros + expected_psums
-    assert counts.weight_units == compressed.total_nonzeros
-    assert counts.psum_units == expected_psums
-    assert counts.cycles == nonzero_rows
+    assert counts.total_units.tolist() == [compressed.total_nonzeros + expected_psums]
+    assert counts.weight_units.tolist() == [compressed.total_nonzeros]
+    assert counts.psum_units.tolist() == [expected_psums]
+    assert counts.cycles.tolist() == [nonzero_rows]
 
     packed = oracle.pack_rows(arch, compressed.rows)
-    assert counts.num_packs == len(packed.packs)
-    assert counts.total_units == packed.total_units
+    assert counts.num_packs.tolist() == [len(packed.packs)]
+    assert counts.total_units.tolist() == [packed.total_units]
     assert all(pack.num_units <= arch.pack_size for pack in packed.packs)
     # The packer's conflict avoidance guarantees every psum unit of a pack
     # lands in a distinct bank, so Pack.psum_banks (derived from the unit
@@ -334,13 +334,14 @@ def _random_level2(rows: int, width: int, density: float, seed: int) -> np.ndarr
     return np.where(nonzero, rng.choice([-1, 1], size=(rows, width)), 0).astype(np.int8)
 
 
-def _planned_counts(level2: np.ndarray, needs_psum: bool):
+def _planned_counts(level2: np.ndarray):
     """``level2``'s compressed counts as ``plan_preprocess`` lays them out.
 
     The plan reads only the decomposition's per-row Level 2 nonzero
-    counts.  The tile is both partitions of a one-M-tile layer, so the plan's
-    second job carries a psum and its first does not.  The result holds
-    views into the plan's compact per-layer arrays.
+    counts.  The tile is both partitions of a one-M-tile layer, so the
+    plan's layer holds two tiles of ``level2``'s rows: the first without
+    a psum, the second with one.  Its arrays are the plan's compact
+    per-layer dtypes.
     """
     from types import SimpleNamespace
 
@@ -351,11 +352,27 @@ def _planned_counts(level2: np.ndarray, needs_psum: bool):
     level2_counts = np.count_nonzero(level2, axis=1)
     plan = plan_preprocess(
         ArchConfig(tile_m=rows, tile_k=width),
-        SimpleNamespace(pattern_sets=()),
-        SimpleNamespace(level2_nonzeros=np.column_stack([level2_counts] * 2)),
-        SimpleNamespace(m=rows, k=2 * width),
+        SimpleNamespace(
+            pattern_sets=(), level2_nonzeros=np.column_stack([level2_counts] * 2)
+        ),
     )
-    return plan.compressed[int(needs_psum)]
+    return plan.compressed
+
+
+def _assert_packs_like_oracle(arch, tiles, got) -> None:
+    """``got``, one layer's pack counts, equals the object-stream packer
+    on every ``(level2, needs_psum)`` tile of ``tiles``."""
+    from reference import preprocessor as oracle
+
+    assert got.num_packs.size == len(tiles)
+    for t, (level2, needs_psum) in enumerate(tiles):
+        want = oracle.pack_rows(arch, oracle.compress(level2, needs_psum=needs_psum).rows)
+        assert got.num_packs[t] == len(want.packs)
+        assert got.weight_units[t] == sum(pack.num_weight_units for pack in want.packs)
+        assert got.psum_units[t] == sum(pack.num_psum_units for pack in want.packs)
+        assert got.total_units[t] == want.total_units
+        assert got.cycles[t] == want.cycles
+        assert got.evictions[t] == want.evictions
 
 
 @settings(max_examples=60, deadline=None)
@@ -367,33 +384,42 @@ def _planned_counts(level2: np.ndarray, needs_psum: bool):
     ),
 )
 def test_pack_counts_batch_matches_oracle_pack_rows(jobs, repeats):
-    """The lockstep packer equals the object-stream packer on every job.
+    """The lockstep packer equals the object-stream packer on every tile.
 
-    One batch mixes machine configurations and repeats some jobs, either
-    exactly (the dedup path) or under another window count (which must
-    not dedup).  It always carries jobs with 65 and 129 psum banks, whose
-    bank masks span two and three 64-bit words, and a job whose rows span
-    up to five chunks.  Every other job comes from ``plan_preprocess``,
-    so int64 oracle counts and the plan's compact dtypes share a batch.
+    One batch mixes machine configurations and repeats some layers,
+    either exactly (the same object: the dedup path) or under another
+    window count (which must not dedup).  It always carries layers with
+    65 and 129 psum banks, whose bank masks span two and three 64-bit
+    words, and a layer whose rows span up to five chunks.  Every other
+    job comes from ``plan_preprocess`` as a two-tile layer, so int64
+    oracle counts and the plan's compact dtypes share a batch.
     """
     from reference import preprocessor as oracle
 
     from repro.hw.config import ArchConfig
     from repro.hw.preprocessor import pack_counts_batch
 
-    cases = []
-    for pack_size, windows, channels, needs_psum, rows, width, density, seed in jobs:
+    cases = []  # (arch, compressed layer, [(level2, needs_psum)] per tile)
+    for i, (pack_size, windows, channels, needs_psum, rows, width, density, seed) in (
+        enumerate(jobs)
+    ):
         arch = ArchConfig(
             pack_size=pack_size, packer_windows=windows, num_channels=channels
         )
-        cases.append((arch, _random_level2(rows, width, density, seed), needs_psum))
+        level2 = _random_level2(rows, width, density, seed)
+        if i % 2 and rows:
+            cases.append((arch, _planned_counts(level2), [(level2, False), (level2, True)]))
+        else:
+            compressed = oracle.compress(level2, needs_psum=needs_psum)
+            counts = oracle.counts_of(compressed, needs_psum)
+            cases.append((arch, counts, [(level2, needs_psum)]))
     for i, windows in repeats:
-        arch, level2, needs_psum = cases[i % len(jobs)]
+        arch, counts, tiles = cases[i % len(jobs)]
         if windows is not None:
             arch = arch.with_overrides(packer_windows=windows)
-        cases.append((arch, level2, needs_psum))
+        cases.append((arch, counts, tiles))
     # Bank 64 of 65 is bit 0 of the second bank-mask word, and bank 128
-    # of 129 bit 0 of the third.  These jobs' rows hit bit 0 of every
+    # of 129 bit 0 of the third.  These layers' rows hit bit 0 of every
     # word twice in a row, then once each: a one-window packer must evict
     # on each repeat and only there, whichever word the bank is in.
     for channels in (65, 129):
@@ -402,32 +428,86 @@ def test_pack_counts_batch_matches_oracle_pack_rows(jobs, repeats):
         tall = np.zeros((channels * sequence.size, 2), dtype=np.int8)
         tall[np.arange(sequence.size) * channels + sequence, 0] = 1
         arch = ArchConfig(pack_size=16, packer_windows=1, num_channels=channels)
-        cases.append((arch, tall, True))
+        counts = oracle.counts_of(oracle.compress(tall, needs_psum=True), True)
+        cases.append((arch, counts, [(tall, True)]))
     # Rows of up to 16 nonzeros plus a psum span up to five 4-unit chunks.
     arch = ArchConfig(pack_size=4, packer_windows=2, num_channels=8)
-    cases.append((arch, _random_level2(40, 16, 0.9, 1), True))
+    level2 = _random_level2(40, 16, 0.9, 1)
+    counts = oracle.counts_of(oracle.compress(level2, needs_psum=True), True)
+    cases.append((arch, counts, [(level2, True)]))
 
-    compressed = [oracle.compress(level2, needs_psum=psum) for _, level2, psum in cases]
-    batch = pack_counts_batch(
-        [
-            (
-                arch,
-                _planned_counts(level2, psum)
-                if i % 2 and level2.shape[0]
-                else oracle.counts_of(rows, psum),
-            )
-            for i, ((arch, level2, psum), rows) in enumerate(zip(cases, compressed))
-        ]
-    )
+    batch = pack_counts_batch([(arch, counts) for arch, counts, _ in cases])
     assert len(batch) == len(cases)
-    for (arch, _, _), rows, got in zip(cases, compressed, batch):
-        want = oracle.pack_rows(arch, rows.rows)
-        assert got.num_packs == len(want.packs)
-        assert got.weight_units == sum(pack.num_weight_units for pack in want.packs)
-        assert got.psum_units == sum(pack.num_psum_units for pack in want.packs)
-        assert got.total_units == want.total_units
-        assert got.cycles == want.cycles
-        assert got.evictions == want.evictions
+    for (arch, _, tiles), got in zip(cases, batch):
+        _assert_packs_like_oracle(arch, tiles, got)
+
+
+pack_tiles = st.lists(
+    st.tuples(
+        st.booleans(),  # needs_psum
+        st.integers(0, 40),  # rows
+        st.integers(1, 24),  # Level 2 width: rows can outgrow a pack
+        st.sampled_from([0.0, 0.1, 0.5, 0.9]),  # nonzero density
+        st.integers(0, 2**32 - 1),  # seed
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    machines=st.lists(
+        st.tuples(
+            st.integers(1, 16),  # pack_size: rows split into chunks
+            st.integers(1, 4),  # packer_windows
+            st.integers(1, 200),  # num_channels (psum banks)
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    layers=st.lists(st.tuples(st.integers(0, 2), pack_tiles), min_size=1, max_size=6),
+)
+def test_packing_layers_together_equals_packing_each_alone(machines, layers):
+    """Several layers in one call pack as each layer alone does.
+
+    Layers draw from up to three machine configurations, so several of
+    them share one lockstep pass, and every tile also equals the
+    object-stream packer.
+    """
+    from reference import preprocessor as oracle
+
+    from repro.hw.config import ArchConfig
+    from repro.hw.preprocessor import pack_counts_batch
+
+    jobs = []
+    tiles_of = []
+    for machine, tiles in layers:
+        pack_size, windows, channels = machines[machine % len(machines)]
+        arch = ArchConfig(
+            pack_size=pack_size, packer_windows=windows, num_channels=channels
+        )
+        tiles = [
+            (_random_level2(rows, width, density, seed), needs_psum)
+            for needs_psum, rows, width, density, seed in tiles
+        ]
+        counts = oracle.stack_tiles(
+            [
+                oracle.counts_of(oracle.compress(level2, needs_psum=psum), psum)
+                for level2, psum in tiles
+            ]
+        )
+        jobs.append((arch, counts))
+        tiles_of.append(tiles)
+
+    together = pack_counts_batch(jobs)
+    assert len(together) == len(jobs)
+    fields = ("num_packs", "weight_units", "psum_units", "cycles", "evictions")
+    for job, tiles, got in zip(jobs, tiles_of, together):
+        [alone] = pack_counts_batch([job])
+        for field in fields:
+            assert getattr(got, field).dtype == np.int64
+            assert getattr(got, field).tolist() == getattr(alone, field).tolist()
+        _assert_packs_like_oracle(job[0], tiles, got)
 
 
 @settings(max_examples=50, deadline=None)

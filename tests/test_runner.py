@@ -37,6 +37,20 @@ class TestResultCache:
         assert cache.get("ab" * 32) == {"x": 1.5}
         assert len(cache) == 1
 
+    def test_put_writes_the_canonical_json_bytes(self, tmp_path):
+        # The record file is byte-for-byte ``json.dumps(record,
+        # sort_keys=True)``: nested keys sorted, floats in repr form,
+        # non-ASCII escaped.
+        record = {
+            "z": [1, 2.5, {"b": None, "a": True}],
+            "a": {"y": 0.1 + 0.2, "x": -3e-12, "label": "fig7:q=16 µ"},
+            "n": 12345678901234567890,
+        }
+        cache = ResultCache(tmp_path)
+        cache.put("ab" * 32, record)
+        written = cache.path_for("ab" * 32).read_bytes()
+        assert written == json.dumps(record, sort_keys=True).encode("ascii")
+
     def test_miss_returns_none(self, tmp_path):
         assert ResultCache(tmp_path).get("cd" * 32) is None
 
