@@ -50,7 +50,7 @@ BUFFER_BYTES_PER_ACCUMULATION = 10.0
 
 def paper_operations(layer: LayerWorkload) -> int:
     """The paper's OP count for one layer: 1-bits times output width."""
-    return int(layer.activations.sum()) * layer.n
+    return layer.ones * layer.n
 
 
 def dense_activation_bytes(layer: LayerWorkload) -> float:
@@ -203,23 +203,24 @@ class BaselineAccelerator(AcceleratorModel):
 
 
 def load_imbalance_cycles(
-    activations: np.ndarray, lanes: int, rows_per_group: int, work_per_one: float
+    row_ones: np.ndarray, lanes: int, rows_per_group: int, work_per_one: float
 ) -> float:
     """Cycle count of a row-parallel accelerator with load imbalance.
 
     Rows are processed in groups of ``rows_per_group`` parallel lanes; the
     group finishes when its most spike-heavy row finishes, which is the
     load-imbalance effect unstructured sparsity causes on parallel SNN
-    dataflows.
+    dataflows.  ``row_ones`` holds each row's spike count
+    (:attr:`~repro.workloads.workload.LayerWorkload.row_ones`).
     """
     if lanes < 1 or rows_per_group < 1:
         raise ValueError("lanes and rows_per_group must be >= 1")
-    popcounts = np.asarray(activations).sum(axis=1)
-    cycles = 0.0
+    row_ones = np.asarray(row_ones)
+    if row_ones.size == 0:
+        return 0.0
+    maxima = np.maximum.reduceat(row_ones, np.arange(0, row_ones.size, rows_per_group))
     lanes_per_row = max(lanes // rows_per_group, 1)
-    for start in range(0, len(popcounts), rows_per_group):
-        group = popcounts[start : start + rows_per_group]
-        if group.size == 0:
-            continue
-        cycles += float(group.max()) * work_per_one / lanes_per_row
-    return cycles
+    terms = maxima.astype(np.float64) * work_per_one / lanes_per_row
+    # A running sum in group order: ``np.sum`` adds pairwise, which
+    # rounds differently.
+    return float(np.add.accumulate(terms)[-1])

@@ -34,6 +34,10 @@ class PTB(BaselineAccelerator):
     #: Systolic-array utilisation.
     utilization = 0.70
 
+    #: ``(layer, window, positions)`` of the last count: the compute stage
+    #: and the energy account ask for the same layer in turn.
+    _last_count: tuple[LayerWorkload, int, int] | None = None
+
     def _processed_positions(self, layer: LayerWorkload) -> int:
         """Activation positions scheduled: whole windows with any spike.
 
@@ -41,6 +45,9 @@ class PTB(BaselineAccelerator):
         one unsigned integer, nonzero iff the window holds a spike; every
         active window counts its true width (the last may be narrower).
         """
+        last = self._last_count
+        if last is not None and last[0] is layer and last[1] == self.window:
+            return last[2]
         if self.window not in (1, 2, 4, 8):
             raise ValueError(f"PTB window must be 1, 2, 4 or 8, got {self.window}")
         activations = layer.activations
@@ -51,7 +58,9 @@ class PTB(BaselineAccelerator):
         active = spikes.view(f"u{self.window}") != 0
         widths = np.full(num_windows, self.window, dtype=np.int64)
         widths[-1:] = k - (num_windows - 1) * self.window
-        return int(np.count_nonzero(active, axis=0) @ widths)
+        positions = int(np.count_nonzero(active, axis=0) @ widths)
+        self._last_count = (layer, self.window, positions)
+        return positions
 
     def layer_compute_cycles(self, layer: LayerWorkload) -> float:
         """Window-granular execution: an active window is fully processed."""

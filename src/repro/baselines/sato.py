@@ -36,7 +36,7 @@ class SATO(BaselineAccelerator):
     def layer_compute_cycles(self, layer: LayerWorkload) -> float:
         """Row-parallel bit-sparse execution with group-level imbalance."""
         cycles = load_imbalance_cycles(
-            layer.activations,
+            layer.row_ones,
             lanes=self.lanes,
             rows_per_group=self.rows_per_group,
             work_per_one=layer.n,

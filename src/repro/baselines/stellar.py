@@ -44,7 +44,7 @@ class Stellar(BaselineAccelerator):
 
     def layer_executed_accumulations(self, layer: LayerWorkload) -> float:
         """FS recoding removes a fraction of the spike-triggered work."""
-        effective_ones = int(layer.activations.sum()) * self.fs_spike_fraction
+        effective_ones = layer.ones * self.fs_spike_fraction
         return float(effective_ones * layer.n)
 
     @staticmethod

@@ -163,8 +163,7 @@ class PatternSet:
 
     def __init__(self, patterns: np.ndarray) -> None:
         self._matrix = _validate_binary(patterns, "patterns")
-        # pack_rows words of an all-zero row 0 (NO_PATTERN) and then the
-        # patterns, built on first use.
+        # pack_rows words of the patterns, built on first use.
         self._packed: np.ndarray | None = None
 
     @property
@@ -253,30 +252,9 @@ class PatternSet:
                 f"rows width {rows.shape[1]} does not match pattern width "
                 f"{self.width}"
             )
-        return hamming_packed(pack_rows(rows), self._packed_table()[1:])
-
-    def assigned_distances(self, rows: np.ndarray, pattern_indices: np.ndarray) -> np.ndarray:
-        """Hamming distance of each row to its own assigned pattern.
-
-        Row ``i`` is compared with the pattern of 1-based index
-        ``pattern_indices[i]``; ``NO_PATTERN`` compares with the all-zero
-        row, which gives the row's popcount.  That distance is the row's
-        Level 2 nonzero count, so one XOR popcount of the packed words
-        counts a decomposition without building its Level 2 matrix.
-        ``rows`` must be binary (it is not checked); the counts come out
-        in the smallest unsigned dtype that holds the pattern width.
-        """
-        table = self._packed_table()
-        return np.bitwise_count(pack_rows(rows) ^ table[pattern_indices]).sum(
-            axis=1, dtype=np.min_scalar_type(self.width)
-        )
-
-    def _packed_table(self) -> np.ndarray:
         if self._packed is None:
-            self._packed = pack_rows(
-                np.concatenate([np.zeros((1, self.width), np.uint8), self._matrix])
-            )
-        return self._packed
+            self._packed = pack_rows(self._matrix)
+        return hamming_packed(pack_rows(rows), self._packed)
 
     def memory_bits(self) -> int:
         """Storage cost of the pattern set itself in bits."""

@@ -186,40 +186,19 @@ def _level1_rows(patterns: PatternSet, pattern_indices: np.ndarray) -> np.ndarra
     return padded[pattern_indices]
 
 
-def rebuild_tile(
-    tile: np.ndarray, patterns: PatternSet, pattern_indices: np.ndarray
-) -> TileDecomposition:
-    """Reconstruct a tile decomposition from stored pattern assignments.
-
-    The Level 2 counts are a deterministic function of the tile, the
-    pattern set and the per-row assignments, so persisting only the
-    assignments (see ``repro.runner.store``) and rebuilding here yields
-    the bit-exact :func:`decompose_tile` result at a fraction of its cost:
-    one XOR popcount per row instead of Hamming matching.
-    """
-    # No-copy when the caller already holds uint8 (workload activations
-    # are, including memmap-backed store views) — the rebuild only reads.
-    tile = np.asarray(tile, dtype=np.uint8)
-    indices = np.asarray(pattern_indices, dtype=np.int32)
-    if indices.shape != (tile.shape[0],):
-        raise ValueError(
-            f"pattern_indices must have shape ({tile.shape[0]},), got {indices.shape}"
-        )
-    return TileDecomposition(
-        pattern_indices=indices,
-        level2_nonzeros=patterns.assigned_distances(tile, indices),
-        patterns=patterns,
-        original=tile,
-    )
-
-
 def rebuild_decomposition(
     activations: np.ndarray,
     pattern_sets: Sequence[PatternSet],
     partition_size: int,
     pattern_index_matrix: np.ndarray,
+    level2_counts: np.ndarray,
 ) -> MatrixDecomposition:
-    """Reconstruct a full matrix decomposition from stored assignments.
+    """Assemble a matrix decomposition from its stored matrices.
+
+    A decomposition is fully described by its activations, pattern sets
+    and two ``(M, partitions)`` matrices: the pattern assignments and the
+    Level 2 counts.  The store persists both matrices, so a hit is put
+    back together here without matching or counting anything.
 
     Parameters
     ----------
@@ -230,17 +209,18 @@ def rebuild_decomposition(
     partition_size:
         Partition width ``k`` used during calibration.
     pattern_index_matrix:
-        The ``(M, num_partitions)`` assignment matrix of a decomposition
-        (:attr:`MatrixDecomposition.pattern_indices`).
+        :attr:`MatrixDecomposition.pattern_indices` of the decomposition.
+    level2_counts:
+        :attr:`MatrixDecomposition.level2_nonzeros` of the decomposition.
 
     Returns
     -------
     MatrixDecomposition
-        Bit-exact equal to ``decompose_matrix(activations, pattern_sets,
-        partition_size)``.  Neither ``activations`` nor the assignment
-        matrix is copied when it is already ``uint8`` / ``int32`` (a
-        store's mapped payload stays mapped); only the Level 2 counts are
-        new.
+        Equal to the decomposition the matrices were taken from.  No
+        input is copied when it already has its in-memory dtype
+        (``uint8`` activations, ``int32`` assignments, the count dtype
+        of :func:`decompose_matrix`), so a store's mapped payload stays
+        mapped.
     """
     activations = np.asarray(activations, dtype=np.uint8)
     boundaries = partition_boundaries(activations.shape[1], partition_size)
@@ -248,16 +228,12 @@ def rebuild_decomposition(
         raise ValueError(
             f"expected {len(boundaries)} pattern sets, got {len(pattern_sets)}"
         )
+    shape = (activations.shape[0], len(boundaries))
     indices = np.asarray(pattern_index_matrix, dtype=np.int32)
-    if indices.shape != (activations.shape[0], len(boundaries)):
-        raise ValueError(
-            f"pattern_index_matrix must have shape "
-            f"({activations.shape[0]}, {len(boundaries)}), got {indices.shape}"
-        )
-    counts = _count_matrix(activations.shape[0], boundaries)
-    for p, (pattern_set, (start, stop)) in enumerate(zip(pattern_sets, boundaries)):
-        tile = rebuild_tile(activations[:, start:stop], pattern_set, indices[:, p])
-        counts[:, p] = tile.level2_nonzeros
+    counts = np.asarray(level2_counts, dtype=_count_dtype(boundaries))
+    for name, matrix in (("pattern_index_matrix", indices), ("level2_counts", counts)):
+        if matrix.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {matrix.shape}")
     return MatrixDecomposition(
         activations=activations,
         pattern_sets=tuple(pattern_sets),
@@ -267,14 +243,13 @@ def rebuild_decomposition(
     )
 
 
-def _count_matrix(num_rows: int, boundaries: Sequence[tuple[int, int]]) -> np.ndarray:
-    """An empty ``(M, partitions)`` Level 2 count matrix.
+def _count_dtype(boundaries: Sequence[tuple[int, int]]) -> np.dtype:
+    """Dtype of an ``(M, partitions)`` Level 2 count matrix.
 
-    Its dtype is the smallest unsigned one that holds the widest
-    partition, as for a single tile's counts.
+    The smallest unsigned one that holds the widest partition, as for a
+    single tile's counts.
     """
-    widest = max(stop - start for start, stop in boundaries)
-    return np.empty((num_rows, len(boundaries)), dtype=np.min_scalar_type(widest))
+    return np.min_scalar_type(max(stop - start for start, stop in boundaries))
 
 
 def partition_boundaries(total_width: int, partition_size: int) -> list[tuple[int, int]]:
@@ -314,10 +289,10 @@ class MatrixDecomposition:
         The column ranges covered by each partition.
     pattern_indices:
         ``(M, partitions)`` int32 matrix of assigned 1-based pattern
-        indices (``NO_PATTERN`` for none) — what the store persists.
+        indices (``NO_PATTERN`` for none).
     level2_nonzeros:
         ``(M, partitions)`` unsigned matrix of Level 2 nonzeros per row
-        and partition.
+        and partition.  The store persists both matrices.
     """
 
     activations: np.ndarray
@@ -421,7 +396,7 @@ def decompose_matrix(
             f"and k={partition_size}, got {len(pattern_sets)}"
         )
     indices = np.empty((activations.shape[0], len(boundaries)), dtype=np.int32)
-    counts = _count_matrix(activations.shape[0], boundaries)
+    counts = np.empty(indices.shape, dtype=_count_dtype(boundaries))
     for p, (pattern_set, (start, stop)) in enumerate(zip(pattern_sets, boundaries)):
         tile = decompose_tile(activations[:, start:stop], pattern_set)
         indices[:, p] = tile.pattern_indices

@@ -132,7 +132,7 @@ def get_workload(model_name: str, dataset_name: str, scale: ExperimentScale) -> 
 
     Delegates to the generator-level memo the sweep engine uses too, so
     experiments and engine workers in the same process share one workload
-    instance (and therefore one calibration memo) per spec.
+    instance per spec, and with it each layer's cached spike counts.
     """
     return cached_workload(
         model_name,

@@ -598,10 +598,10 @@ def _resolve_unit(
     unit alone.  A plain spec's calibration equals the simulator's
     per-layer self-calibration.  For a PAFT spec the paper fine-tunes,
     then re-calibrates on the tuned network: the calibration is computed
-    on the *aligned* workload (keyed by the full spec).  Only the pattern
-    assignments of a decomposition hit the disk; a stored one is rebuilt
-    against the workload and calibration, which is bit-exact and much
-    cheaper than re-matching.
+    on the *aligned* workload (keyed by the full spec).  A decomposition
+    stores its pattern assignments and Level 2 counts; a stored one is
+    assembled against the workload and calibration without matching or
+    counting anything.
     """
     spec, config = point.workload, point.phi
     workload = _resolve_workload(point)

@@ -28,7 +28,11 @@ artifact between them.
 
 Array payloads round-trip bit-exactly through the container, so a loaded
 artifact is indistinguishable from a freshly computed one; the golden
-regression suite and the report manifest check pin this.
+regression suite and the report manifest check pin this.  A
+decomposition is stored as its two ``(M, partitions)`` matrices, the
+pattern assignments and the Level 2 counts, and a hit is assembled from
+their mapped views against the workload and calibration it belongs to:
+nothing is matched, counted or copied on the warm path.
 """
 
 from __future__ import annotations
@@ -57,7 +61,9 @@ from .cache import cache_key
 #: v2: mmap-friendly single-``.npy`` container replaced the ``.npz``
 #: archive.
 #: v3: imported-trace artifacts (``KIND_TRACE``) joined the store.
-STORE_SCHEMA_VERSION = 3
+#: v4: decompositions store their Level 2 count matrix next to the
+#: pattern assignments.
+STORE_SCHEMA_VERSION = 4
 
 #: Artifact kinds the store recognises (part of every key payload).
 KIND_WORKLOAD = "workload"
@@ -275,22 +281,24 @@ def _decode_calibration(arrays: Mapping[str, np.ndarray]) -> ModelCalibration:
 def _encode_decompositions(
     decompositions: "Mapping[str, MatrixDecomposition] | DecompositionArtifact",
 ) -> dict[str, np.ndarray]:
-    # Only the per-row pattern assignments are stored: the Level 2 counts
-    # and the original tiles are deterministic functions of (activations,
-    # patterns, assignments) and are rebuilt bit-exactly on load by
-    # :func:`repro.core.sparsity.rebuild_decomposition`.
+    # Each layer stores its two (M, partitions) matrices, the pattern
+    # assignments and the Level 2 counts, in their in-memory dtypes.  The
+    # original tiles are the workload's activations, so a hit is
+    # assembled by :func:`repro.core.sparsity.rebuild_decomposition`
+    # without matching or counting.
     if isinstance(decompositions, DecompositionArtifact):
-        items = list(decompositions.assignments.items())
+        items = list(decompositions.layers.items())
     else:
         items = [
-            (name, decomposition.pattern_indices)
+            (name, (decomposition.pattern_indices, decomposition.level2_nonzeros))
             for name, decomposition in decompositions.items()
         ]
     layers = []
     arrays: dict[str, np.ndarray] = {}
-    for i, (name, matrix) in enumerate(items):
+    for i, (name, (indices, counts)) in enumerate(items):
         layers.append({"name": name})
-        arrays[f"i{i}"] = matrix
+        arrays[f"i{i}"] = indices
+        arrays[f"c{i}"] = counts
     arrays["meta"] = np.frombuffer(
         json.dumps({"layers": layers}).encode("utf-8"), dtype=np.uint8
     )
@@ -298,37 +306,42 @@ def _encode_decompositions(
 
 
 class DecompositionArtifact:
-    """Stored pattern assignments awaiting a workload + calibration.
+    """Stored decomposition matrices awaiting a workload + calibration.
 
-    Rebuilding needs the activation matrices and pattern sets, which the
-    caller already holds (they come from sibling store entries), so the
-    artifact only carries the assignment matrices.
+    Assembling a decomposition needs the activation matrices and pattern
+    sets, which the caller already holds (they come from sibling store
+    entries), so the artifact carries only each layer's pattern
+    assignments and Level 2 counts.
     """
 
-    def __init__(self, assignments: dict[str, np.ndarray]) -> None:
-        self.assignments = assignments
+    def __init__(self, layers: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
+        self.layers = layers
 
     def rebuild(
         self, workload: ModelWorkload, calibration: ModelCalibration
     ) -> dict[str, MatrixDecomposition]:
-        """Bit-exact decompositions for every stored layer."""
-        layers = {layer.name: layer for layer in workload}
+        """The decomposition of every stored layer."""
+        activations = workload.activation_matrices()
         return {
             name: rebuild_decomposition(
-                layers[name].activations,
+                activations[name],
                 calibration[name].pattern_sets,
                 calibration[name].partition_size,
-                matrix,
+                indices,
+                counts,
             )
-            for name, matrix in self.assignments.items()
+            for name, (indices, counts) in self.layers.items()
         }
 
 
 def _decode_decompositions(arrays: Mapping[str, np.ndarray]) -> DecompositionArtifact:
-    meta = _decode_meta(arrays)
-    return DecompositionArtifact(
-        {layer["name"]: arrays[f"i{i}"] for i, layer in enumerate(meta["layers"])}
-    )
+    layers = {}
+    for i, layer in enumerate(_decode_meta(arrays)["layers"]):
+        indices, counts = arrays[f"i{i}"], arrays[f"c{i}"]
+        if indices.ndim != 2 or counts.shape != indices.shape or counts.dtype.kind != "u":
+            raise ValueError(f"layer {layer['name']!r}: malformed decomposition matrices")
+        layers[layer["name"]] = (indices, counts)
+    return DecompositionArtifact(layers)
 
 
 _CODECS: dict[str, tuple[Callable, Callable]] = {
@@ -355,7 +368,10 @@ def _artifact_nbytes(artifact: Any) -> int:
             for pattern_set in artifact[name].pattern_sets
         )
     if isinstance(artifact, DecompositionArtifact):
-        return sum(matrix.nbytes for matrix in artifact.assignments.values())
+        return sum(
+            indices.nbytes + counts.nbytes
+            for indices, counts in artifact.layers.values()
+        )
     return 0
 
 
@@ -389,8 +405,8 @@ class ArtifactStore:
     (``memo_entries``) and by estimated array bytes
     (``memo_budget_bytes``, which matters for long-lived services whose
     workload artifacts can each hold tens of MB of activations) — with
-    FIFO eviction, and decomposition entries are memoised in their slim
-    assignment-only form.
+    FIFO eviction, and decomposition entries are memoised in their
+    stored form (:class:`DecompositionArtifact`).
 
     ``hits`` / ``misses`` count disk outcomes of ``get``; an answer from
     the memo counts as neither, so ``hits`` is the number of artifacts
@@ -543,10 +559,10 @@ class ArtifactStore:
 
         A memory-only store memoises the artifact and writes nothing.
 
-        Decompositions are memoised in their stored (assignment-only)
-        form, not as the full matrices the producer handed in — the
-        rebuild on a later ``lookup`` is cheap, while the full form would
-        pin roughly twice the workload's memory per configuration.
+        Decompositions are memoised in their stored form, the
+        assignment and count matrices, not with the activations the
+        producer's decompositions hold: a later ``lookup`` assembles
+        them against the workload without copying anything.
 
         An unwritable store (read-only directory, full disk, root
         replaced by a file) degrades to compute-without-persist: the

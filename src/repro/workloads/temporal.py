@@ -52,7 +52,7 @@ def temporal_density_profile(workload: ModelWorkload) -> dict[int, float]:
         _, step = split_timestep_name(layer.name)
         if step is None:
             continue
-        ones[step] = ones.get(step, 0) + int(layer.activations.sum())
+        ones[step] = ones.get(step, 0) + layer.ones
         elements[step] = elements.get(step, 0) + int(layer.activations.size)
     return {
         step: (ones[step] / elements[step] if elements[step] else 0.0)

@@ -9,6 +9,7 @@ collects the GEMMs of a whole network in execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -70,12 +71,30 @@ class LayerWorkload:
         """Output width (N dimension)."""
         return int(self.weights.shape[1])
 
+    @cached_property
+    def row_ones(self) -> np.ndarray:
+        """Spikes per activation row, as a read-only ``int64`` vector.
+
+        Counted once per layer: the accelerator models, densities and OP
+        counts read this or :attr:`ones` instead of summing the
+        activations again.  The activations are binary and read-only, so
+        the count cannot go stale.
+        """
+        counts = np.asarray(self.activations).sum(axis=1, dtype=np.int64)
+        counts.setflags(write=False)
+        return counts
+
+    @cached_property
+    def ones(self) -> int:
+        """Number of 1 bits in the activation matrix."""
+        return int(self.row_ones.sum())
+
     @property
     def bit_density(self) -> float:
         """Fraction of 1 bits in the activation matrix."""
         if self.activations.size == 0:
             return 0.0
-        return float(self.activations.mean())
+        return self.ones / self.activations.size
 
     @property
     def dense_macs(self) -> int:
@@ -85,7 +104,7 @@ class LayerWorkload:
     @property
     def nonzero_accumulations(self) -> int:
         """Number of weight-row accumulations under plain bit sparsity."""
-        return int(self.activations.sum()) * self.n
+        return self.ones * self.n
 
     def reference_output(self) -> np.ndarray:
         """Exact GEMM output ``activations @ weights`` (golden reference)."""
@@ -150,7 +169,7 @@ class ModelWorkload:
         total = sum(layer.activations.size for layer in self.layers)
         if total == 0:
             return 0.0
-        ones = sum(int(layer.activations.sum()) for layer in self.layers)
+        ones = sum(layer.ones for layer in self.layers)
         return ones / total
 
     def activation_matrices(self) -> dict[str, np.ndarray]:

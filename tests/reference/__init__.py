@@ -8,13 +8,17 @@ bit for bit.  ``src/`` never imports from here.
   (``repro.core.kmeans.binary_kmeans`` clusters distinct rows weighted
   by multiplicity);
 * ``sparsity`` — per-row pattern matching and decomposition
-  (``repro.core.sparsity`` matches each distinct row once);
+  (``repro.core.sparsity`` matches each distinct row once), and the XOR
+  popcount recount of Level 2 from stored assignments (the store now
+  keeps the counts with the assignments);
 * ``preprocessor`` — the object-stream compressor, packer and L2 pack
   costing (``repro.hw`` runs per-row counters: ``plan_preprocess``,
   ``pack_counts_batch``, whose NumPy lockstep machine keeps a multi-word
   bank mask per window, and ``L2Processor.pack_cycles_for``);
 * ``baselines`` — PTB's per-window spike scan (``PTB._processed_positions``
-  reads each row's window as one unsigned integer);
+  reads each row's window as one unsigned integer) and SATO's per-group
+  load-imbalance loop (``load_imbalance_cycles`` reduces cached row spike
+  counts in one pass);
 * ``paft`` — per-row PAFT alignment through ``PatternSet.bits_of``
   (``ActivationAligner.align_layer`` flips the drawn bits with one XOR).
 """

@@ -9,14 +9,19 @@ version returns the same pattern indices and Level 2 matrix.
 The result carries its Level 2 as per-row nonzero counts, and its
 ``level2`` property rebuilds the matrix from the tile and the pattern
 indices, so the oracle checks that rebuild against its own scatter.
+
+``rebuild_tile`` and ``level2_counts`` are how a store hit got its Level
+2 counts before the store kept them: one XOR popcount of each row's
+packed words against its assigned pattern.  Tests check the stored
+counts against this recount.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.patterns import PatternSet
-from repro.core.sparsity import TileDecomposition
+from repro.core.patterns import PatternSet, pack_rows
+from repro.core.sparsity import TileDecomposition, partition_boundaries
 
 
 def decompose_tile(tile: np.ndarray, patterns: PatternSet) -> TileDecomposition:
@@ -64,3 +69,58 @@ def _checked(
     )
     np.testing.assert_array_equal(result.level2, level2)
     return result
+
+
+def assigned_distances(
+    patterns: PatternSet, rows: np.ndarray, pattern_indices: np.ndarray
+) -> np.ndarray:
+    """Hamming distance of each row to its own assigned pattern.
+
+    Row ``i`` is compared with the pattern of 1-based index
+    ``pattern_indices[i]``; ``NO_PATTERN`` compares with the all-zero
+    row, which gives the row's popcount.  The counts come out in the
+    smallest unsigned dtype that holds the pattern width.
+    """
+    table = pack_rows(
+        np.concatenate([np.zeros((1, patterns.width), np.uint8), patterns.matrix])
+    )
+    return np.bitwise_count(pack_rows(rows) ^ table[pattern_indices]).sum(
+        axis=1, dtype=np.min_scalar_type(patterns.width)
+    )
+
+
+def rebuild_tile(
+    tile: np.ndarray, patterns: PatternSet, pattern_indices: np.ndarray
+) -> TileDecomposition:
+    """A tile decomposition recounted from its pattern assignments."""
+    tile = np.asarray(tile, dtype=np.uint8)
+    indices = np.asarray(pattern_indices, dtype=np.int32)
+    if indices.shape != (tile.shape[0],):
+        raise ValueError(
+            f"pattern_indices must have shape ({tile.shape[0]},), got {indices.shape}"
+        )
+    return TileDecomposition(
+        pattern_indices=indices,
+        level2_nonzeros=assigned_distances(patterns, tile, indices),
+        patterns=patterns,
+        original=tile,
+    )
+
+
+def level2_counts(
+    activations: np.ndarray,
+    pattern_sets,
+    partition_size: int,
+    pattern_index_matrix: np.ndarray,
+) -> np.ndarray:
+    """The ``(M, partitions)`` Level 2 counts of any pattern assignment."""
+    activations = np.asarray(activations, dtype=np.uint8)
+    boundaries = partition_boundaries(activations.shape[1], partition_size)
+    widest = max(stop - start for start, stop in boundaries)
+    counts = np.empty(
+        (activations.shape[0], len(boundaries)), dtype=np.min_scalar_type(widest)
+    )
+    for p, (patterns, (start, stop)) in enumerate(zip(pattern_sets, boundaries)):
+        tile = rebuild_tile(activations[:, start:stop], patterns, pattern_index_matrix[:, p])
+        counts[:, p] = tile.level2_nonzeros
+    return counts

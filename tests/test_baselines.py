@@ -1,5 +1,7 @@
 """Tests for the baseline accelerator models and the accelerator registry."""
 
+import math
+
 import numpy as np
 import pytest
 from reference import baselines as reference_baselines
@@ -18,8 +20,9 @@ from repro.baselines import (
 )
 from repro.core import PhiConfig
 from repro.hw import RunResult
+from repro.runner.engine import summarize_run
 from repro.workloads import generate_random_workload
-from repro.workloads.workload import LayerWorkload
+from repro.workloads.workload import LayerWorkload, ModelWorkload
 
 
 @pytest.fixture(scope="module")
@@ -56,13 +59,15 @@ class TestHelpers:
 
     def test_load_imbalance_at_least_balanced(self, rng):
         activations = (rng.random((64, 32)) < 0.2).astype(np.uint8)
-        imbalanced = load_imbalance_cycles(activations, lanes=64, rows_per_group=8, work_per_one=1)
+        imbalanced = load_imbalance_cycles(
+            activations.sum(axis=1), lanes=64, rows_per_group=8, work_per_one=1
+        )
         balanced = activations.sum() / 64
         assert imbalanced >= balanced
 
     def test_load_imbalance_invalid(self):
         with pytest.raises(ValueError):
-            load_imbalance_cycles(np.zeros((2, 2)), lanes=0, rows_per_group=1, work_per_one=1)
+            load_imbalance_cycles(np.zeros(2), lanes=0, rows_per_group=1, work_per_one=1)
 
 
 class TestReports:
@@ -180,3 +185,84 @@ class TestCycleModels:
         spikes = Stellar.fs_recode(np.array([0.25, 0.75]), num_steps=4)
         assert spikes.shape == (4, 2)
         assert set(np.unique(spikes)) <= {0.0, 1.0}
+
+
+def _layer(m: int, k: int, density: float = 0.3, seed: int = 0) -> LayerWorkload:
+    rng = np.random.default_rng(seed)
+    activations = (rng.random((m, k)) < density).astype(np.uint8)
+    return LayerWorkload("layer", activations, np.ones((k, 3)))
+
+
+class TestSpikeCounts:
+    """Each layer counts its spikes once; every accelerator reads the count."""
+
+    @pytest.mark.parametrize("m, k", [(37, 19), (64, 576), (1, 1), (0, 8), (8, 0)])
+    @pytest.mark.parametrize("density", [0.0, 0.1, 1.0])
+    def test_cached_counts_equal_activation_sums(self, m, k, density):
+        layer = _layer(m, k, density, seed=m + k)
+        assert layer.ones == int(layer.activations.sum())
+        np.testing.assert_array_equal(layer.row_ones, layer.activations.sum(axis=1))
+        assert not layer.row_ones.flags.writeable
+        assert layer.row_ones is layer.row_ones  # counted once
+
+    def test_cached_counts_on_a_mapped_layer(self, tmp_path):
+        activations = (np.random.default_rng(5).random((41, 23)) < 0.2).astype(np.uint8)
+        np.save(tmp_path / "a.npy", activations)
+        mapped = np.load(tmp_path / "a.npy", mmap_mode="r")
+        layer = LayerWorkload("layer", mapped, np.ones((23, 2)))
+        assert np.shares_memory(layer.activations, mapped)
+        assert layer.ones == int(activations.sum())
+        np.testing.assert_array_equal(layer.row_ones, activations.sum(axis=1))
+        assert layer.bit_density == float(activations.mean())
+
+
+class TestLoadImbalanceOracle:
+    """The one-pass group reduction equals the per-group loop bit for bit."""
+
+    @pytest.mark.parametrize(
+        "m, k", [(37, 19), (64, 32), (1000, 9), (5, 3), (0, 8), (16, 0)]
+    )
+    @pytest.mark.parametrize(
+        "lanes, rows_per_group", [(256, 16), (8, 16), (64, 8), (7, 3), (1, 7)]
+    )
+    @pytest.mark.parametrize("work_per_one", [1, 24, 0.1])
+    def test_matches_the_per_group_loop(self, m, k, lanes, rows_per_group, work_per_one):
+        layer = _layer(m, k, seed=m * 31 + k)
+        got = load_imbalance_cycles(layer.row_ones, lanes, rows_per_group, work_per_one)
+        want = reference_baselines.load_imbalance_cycles(
+            layer.activations, lanes, rows_per_group, work_per_one
+        )
+        assert type(got) is float
+        assert got == want
+
+    @pytest.mark.parametrize("m, k", [(37, 19), (0, 8), (16, 0)])
+    def test_sato_matches_the_per_group_loop(self, m, k):
+        layer = _layer(m, k, seed=k)
+        sato = SATO()
+        want = reference_baselines.load_imbalance_cycles(
+            layer.activations, sato.lanes, sato.rows_per_group, layer.n
+        )
+        assert sato.layer_compute_cycles(layer) == want / sato.utilization
+
+
+class TestEmptyLayers:
+    @pytest.mark.parametrize("m, k", [(0, 8), (8, 0), (0, 0)])
+    @pytest.mark.parametrize("name", ["eyeriss", "ptb", "sato", "spinalflow", "stellar"])
+    def test_baselines_give_finite_records(self, name, m, k):
+        workload = ModelWorkload("empty", "none")
+        workload.add(_layer(m, k))
+        record = summarize_run(get_baseline(name).simulate(workload))
+        numbers = list(_numbers(record))
+        assert numbers and all(math.isfinite(value) and value >= 0 for value in numbers)
+        assert record["layers"][0]["operations"] == 0
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _numbers(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield float(value)

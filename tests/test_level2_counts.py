@@ -1,9 +1,10 @@
 """Decompositions count Level 2 per row instead of materialising it.
 
 ``decompose_tile`` keeps each row's best Hamming distance (or popcount)
-and ``rebuild_tile`` one XOR popcount against the assigned pattern; every
+and ``rebuild_decomposition`` takes the stored counts back; every
 counting consumer reads those counts.  These tests check the counts
-against ``np.count_nonzero`` of the Level 2 matrix, the metrics against
+against ``np.count_nonzero`` of the Level 2 matrix and against the XOR
+popcount recount in ``tests/reference/sparsity.py``, the metrics against
 the Level 2-scanning oracle in ``tests/reference/metrics.py``, that the
 simulator never builds Level 2, and the warm path's memory per
 (row, partition).
@@ -29,7 +30,6 @@ from repro.core.sparsity import (
     decompose_tile,
     partition_boundaries,
     rebuild_decomposition,
-    rebuild_tile,
 )
 from repro.hw import ArchConfig, PhiSimulator
 from repro.hw.simulator import plan_preprocess
@@ -105,7 +105,12 @@ def test_rebuild_counts_equal_level2_nonzeros(layer, data):
         [rng.integers(0, len(s) + 1, size=activations.shape[0]) for s in pattern_sets],
         axis=1,
     ).astype(np.int32)
-    rebuilt = rebuild_decomposition(activations, pattern_sets, partition_size, indices)
+    counts = reference_sparsity.level2_counts(
+        activations, pattern_sets, partition_size, indices
+    )
+    rebuilt = rebuild_decomposition(
+        activations, pattern_sets, partition_size, indices, counts
+    )
     for p, tile in enumerate(rebuilt.tiles):
         _assert_counts_match_level2(tile)
         by_row = [
@@ -113,15 +118,22 @@ def test_rebuild_counts_equal_level2_nonzeros(layer, data):
             for row, index in zip(tile.original, indices[:, p])
         ]
         np.testing.assert_array_equal(tile.level2_nonzeros, by_row)
-        alone = rebuild_tile(tile.original, tile.patterns, indices[:, p])
-        np.testing.assert_array_equal(alone.level2_nonzeros, tile.level2_nonzeros)
     _assert_same_metrics(rebuilt)
 
     decomposed = decompose_matrix(activations, pattern_sets, partition_size)
-    again = rebuild_decomposition(
+    recounted = reference_sparsity.level2_counts(
         activations, pattern_sets, partition_size, decomposed.pattern_indices
     )
-    np.testing.assert_array_equal(again.level2_nonzeros, decomposed.level2_nonzeros)
+    np.testing.assert_array_equal(recounted, decomposed.level2_nonzeros)
+    assert recounted.dtype == decomposed.level2_nonzeros.dtype
+    again = rebuild_decomposition(
+        activations,
+        pattern_sets,
+        partition_size,
+        decomposed.pattern_indices,
+        decomposed.level2_nonzeros,
+    )
+    assert again.level2_nonzeros is decomposed.level2_nonzeros
     assert decomposition_metrics(again) == decomposition_metrics(decomposed)
 
 
@@ -142,7 +154,11 @@ def test_simulating_never_builds_level2(monkeypatch):
     arch = ArchConfig(tile_m=64, tile_k=16, num_patterns=16)
     stored = decompose_matrix(layer.activations, calibration.pattern_sets, 16)
     rebuilt = rebuild_decomposition(
-        layer.activations, calibration.pattern_sets, 16, stored.pattern_indices
+        layer.activations,
+        calibration.pattern_sets,
+        16,
+        stored.pattern_indices,
+        stored.level2_nonzeros,
     )
 
     def level2_built(self):
@@ -159,20 +175,20 @@ def test_simulating_never_builds_level2(monkeypatch):
 
 
 def test_warm_path_memory_per_row_partition():
-    # A seeded 2,048-row, 18-partition layer with stored assignments:
-    # rebuild, metrics and the preprocessing plan keep one count per
-    # (row, partition) and never build Level 2.  Their traced peak stays
-    # under 20 B per (row, partition); building int8 Level 2 tiles to
-    # count them took 36.
+    # A seeded 2,048-row, 18-partition layer with stored assignments and
+    # counts: assembly, metrics and the preprocessing plan keep one count
+    # per (row, partition) and never build Level 2.  Their traced peak
+    # stays under 20 B per (row, partition); building int8 Level 2 tiles
+    # to count them took 36.
     layer, calibration = _seeded_layer(2048, 288)
     stored = decompose_matrix(layer.activations, calibration.pattern_sets, 16)
-    indices = stored.pattern_indices
+    indices, counts = stored.pattern_indices, stored.level2_nonzeros
     del stored
     arch = ArchConfig()
     tracemalloc.start()
     try:
         decomposition = rebuild_decomposition(
-            layer.activations, calibration.pattern_sets, 16, indices
+            layer.activations, calibration.pattern_sets, 16, indices, counts
         )
         decomposition_metrics(decomposition)
         plan = plan_preprocess(arch, decomposition)
@@ -201,13 +217,28 @@ def test_plan_memory_per_row_partition():
 
 @pytest.mark.parametrize("width", [1, 64, 65, 130])
 def test_rebuild_keeps_inputs_uncopied(width):
-    # uint8 activations and int32 assignments are used in place, as a
-    # store's mapped payload would be.
+    # uint8 activations, int32 assignments and counts of the decomposed
+    # dtype are used in place, as a store's mapped payload would be.
     rng = np.random.default_rng(width)
     activations = (rng.random((20, width)) < 0.5).astype(np.uint8)
     activations.setflags(write=False)
     pattern_sets = (PatternSet((rng.random((3, width)) < 0.5).astype(np.uint8)),)
     indices = rng.integers(0, 4, size=(20, 1)).astype(np.int32)
-    rebuilt = rebuild_decomposition(activations, pattern_sets, width, indices)
+    counts = reference_sparsity.level2_counts(activations, pattern_sets, width, indices)
+    rebuilt = rebuild_decomposition(activations, pattern_sets, width, indices, counts)
     assert rebuilt.activations is activations
     assert rebuilt.pattern_indices is indices
+    assert rebuilt.level2_nonzeros is counts
+
+
+def test_rebuild_checks_both_matrix_shapes():
+    layer, calibration = _seeded_layer(30, 40)
+    stored = decompose_matrix(layer.activations, calibration.pattern_sets, 16)
+    indices, counts = stored.pattern_indices, stored.level2_nonzeros
+    args = (layer.activations, calibration.pattern_sets, 16)
+    with pytest.raises(ValueError, match="pattern_index_matrix"):
+        rebuild_decomposition(*args, indices[1:], counts)
+    with pytest.raises(ValueError, match="level2_counts"):
+        rebuild_decomposition(*args, indices, counts[:, :2])
+    with pytest.raises(ValueError, match="pattern sets"):
+        rebuild_decomposition(layer.activations, calibration.pattern_sets[:2], 16, indices, counts)

@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from reference import sparsity as reference_sparsity
 
 import repro.runner.engine as engine_module
 from repro.core.calibration import PhiCalibrator
@@ -33,6 +34,9 @@ from repro.runner.store import (
     KIND_DECOMPOSITION,
     KIND_WORKLOAD,
     DecompositionArtifact,
+    pack_arrays,
+    unpack_arrays,
+    write_packed,
 )
 from repro.workloads.generator import cached_workload, generate_random_workload
 
@@ -115,6 +119,9 @@ class TestArtifactRoundtrips:
         for name, original in decompositions.items():
             restored = rebuilt[name]
             assert restored.boundaries == original.boundaries
+            np.testing.assert_array_equal(
+                restored.level2_nonzeros, original.level2_nonzeros
+            )
             for a, b in zip(original.tiles, restored.tiles):
                 np.testing.assert_array_equal(a.pattern_indices, b.pattern_indices)
                 np.testing.assert_array_equal(a.level2, b.level2)
@@ -134,6 +141,7 @@ class TestArtifactRoundtrips:
             calibration.pattern_sets,
             config.partition_size,
             direct.pattern_indices,
+            direct.level2_nonzeros,
         )
         np.testing.assert_array_equal(rebuilt.reconstruct(), direct.reconstruct())
         for a, b in zip(direct.tiles, rebuilt.tiles):
@@ -171,6 +179,109 @@ class TestArtifactRoundtrips:
         assert store.contains(key) and len(store) == 0
         assert store.clear() == 0 and not store.contains(key)
         assert not list(tmp_path.iterdir())
+
+
+def _write_container(path, arrays) -> None:
+    """Write ``arrays`` as a store container file at ``path``."""
+    prefix, blocks, size = pack_arrays(arrays)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as handle:
+        np.lib.format.write_array_header_1_0(
+            handle, {"descr": "|u1", "fortran_order": False, "shape": (size,)}
+        )
+        write_packed(handle, prefix, blocks)
+
+
+def _assert_stored_counts(decompositions, workload, calibration) -> None:
+    """Stored counts equal a fresh decomposition's and the XOR recount."""
+    for layer in workload:
+        layer_calibration = calibration[layer.name]
+        restored = decompositions[layer.name]
+        fresh = layer_calibration.decompose(layer.activations)
+        recount = reference_sparsity.level2_counts(
+            layer.activations,
+            layer_calibration.pattern_sets,
+            layer_calibration.partition_size,
+            restored.pattern_indices,
+        )
+        assert restored.level2_nonzeros.dtype == fresh.level2_nonzeros.dtype
+        np.testing.assert_array_equal(restored.level2_nonzeros, fresh.level2_nonzeros)
+        np.testing.assert_array_equal(restored.level2_nonzeros, recount)
+        np.testing.assert_array_equal(restored.pattern_indices, fresh.pattern_indices)
+
+
+class TestStoredLevel2Counts:
+    """A decomposition hit reads its Level 2 counts off disk, recounts nothing."""
+
+    @pytest.mark.parametrize("partition_size", [8, 12])  # 12: ragged last partition
+    def test_counts_roundtrip_through_a_fresh_store(self, tmp_path, partition_size):
+        store = ArtifactStore(tmp_path)
+        workload = tiny_workload()
+        config = PhiConfig(
+            partition_size=partition_size, num_patterns=4, calibration_samples=64
+        )
+        calibration = PhiCalibrator(config).calibrate_model(
+            workload.activation_matrices()
+        )
+        decompositions = {
+            layer.name: calibration[layer.name].decompose(layer.activations)
+            for layer in workload
+        }
+        key = store.key(KIND_DECOMPOSITION, {"cfg": config.to_dict()})
+        store.put(KIND_DECOMPOSITION, key, decompositions)
+
+        loaded = ArtifactStore(tmp_path).get(KIND_DECOMPOSITION, key)
+        rebuilt = loaded.rebuild(workload, calibration)
+        _assert_stored_counts(rebuilt, workload, calibration)
+        for decomposition in rebuilt.values():
+            # A mapped, read-only view: nothing was counted or copied.
+            assert not decomposition.level2_nonzeros.flags.writeable
+            assert not decomposition.pattern_indices.flags.writeable
+
+    def test_paft_aligned_unit_serves_stored_counts(self, tmp_path):
+        spec = WorkloadSpec(
+            "vgg16", "cifar10", batch_size=2, num_steps=2, paft_strength=0.5
+        )
+        point = SweepPoint(workload=spec, arch=TINY.arch_config(), phi=TINY.phi_config())
+        _clear_process_memos()
+        SweepEngine(store=ArtifactStore(tmp_path)).run([point])
+        _clear_process_memos()
+        store = ArtifactStore(tmp_path)
+        with engine_module._active_store(store):
+            workload, calibration, decompositions = engine_module._resolve_unit(point)
+        assert store.misses == 0 and store.hits == 3
+        _assert_stored_counts(decompositions, workload, calibration)
+
+    @pytest.mark.parametrize("damage", ["missing", "short", "float"])
+    def test_malformed_counts_are_a_miss_and_recomputed(self, tmp_path, damage):
+        point = tiny_points(1)[0]
+        _clear_process_memos()
+        cold = SweepEngine(store=ArtifactStore(tmp_path)).run([point])[0]
+
+        store = ArtifactStore(tmp_path)
+        key = store.key(
+            KIND_DECOMPOSITION,
+            engine_module._artifact_payload(point.workload, point.phi),
+        )
+        arrays = {
+            name: np.array(array)
+            for name, array in unpack_arrays(store.load_payload(key)).items()
+        }
+        if damage == "missing":
+            del arrays["c0"]
+        elif damage == "short":
+            arrays["c0"] = arrays["c0"][1:]
+        else:
+            arrays["c0"] = arrays["c0"].astype(np.float64)
+        _write_container(store.path_for(key), arrays)
+        assert store.get(KIND_DECOMPOSITION, key) is None
+        assert store.misses == 1
+
+        _clear_process_memos()
+        healing = ArtifactStore(tmp_path)
+        assert SweepEngine(store=healing).run([point])[0] == cold
+        healed = ArtifactStore(tmp_path).get(KIND_DECOMPOSITION, key)
+        assert isinstance(healed, DecompositionArtifact)
 
 
 class TestConcurrentWrites:
