@@ -8,14 +8,16 @@ and how Level 2 density responds to the PAFT alignment strength.
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from conftest import run_once
 
 from repro.core import PhiCalibrator
-from repro.experiments.common import get_workload
 from repro.core.sparsity import decompose_tile
 from repro.hw import ArchConfig
 from repro.hw.preprocessor import CompressedCounts, pack_counts_batch
 from repro.runner.engine import DECOMPOSITION, SweepEngine, SweepPoint
+
+pytestmark = pytest.mark.smoke
 
 
 def _pack_utilization(workload, scale, windows: int) -> float:
@@ -52,7 +54,7 @@ def _pack_utilization(workload, scale, windows: int) -> float:
 
 
 def test_ablation_packer_windows(benchmark, scale):
-    workload = get_workload("vgg16", "cifar100", scale)
+    workload = SweepEngine().workload(scale.workload_spec("vgg16", "cifar100"))
 
     def sweep():
         return {w: _pack_utilization(workload, scale, w) for w in (1, 2, 4)}

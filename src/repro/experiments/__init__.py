@@ -5,7 +5,7 @@ harness with the paper artifact it reproduces; the report pipeline
 (:mod:`repro.report`) runs any subset of it and emits ``REPRODUCTION.md``.
 """
 
-from .common import PAPER, SMALL, TINY, ExperimentScale, get_workload
+from .common import PAPER, SMALL, TINY, ExperimentScale
 from .registry import (
     REGISTRY,
     SCALES,
@@ -44,7 +44,6 @@ __all__ = [
     "get_experiment",
     "registry_markdown_table",
     "resolve_scale",
-    "get_workload",
     "run_table2",
     "run_table3",
     "run_table4",

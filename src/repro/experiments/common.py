@@ -1,4 +1,4 @@
-"""Shared experiment infrastructure: scales and caching.
+"""Shared experiment infrastructure: scale tiers.
 
 Every experiment harness accepts an :class:`ExperimentScale` so the same
 code runs as a quick smoke test (``TINY``), as the default benchmark
@@ -6,12 +6,12 @@ code runs as a quick smoke test (``TINY``), as the default benchmark
 (``PAPER``).  Note that even ``PAPER`` uses the scaled-down model zoo; see
 DESIGN.md for the substitution rationale.
 
-Workloads, calibrations and simulation results are shared through the
-:mod:`repro.runner` layer: workload generation is memoised in-process,
-calibrations are memoised per ``(workload, PhiConfig)`` pair, and sweeps
-routed through a :class:`~repro.runner.SweepEngine` additionally reuse
-results across processes and runs via the on-disk cache (DESIGN.md
-describes the architecture).
+Workloads, calibrations and simulation results are shared through a
+:class:`~repro.runner.SweepEngine`: its artifact store (or, without one,
+the process-wide in-memory store) holds each workload, calibration and
+decomposition once, and its result cache reuses simulated points across
+processes and runs (DESIGN.md describes the architecture).  Harnesses
+read a workload with :meth:`~repro.runner.SweepEngine.workload`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from ..core.config import PhiConfig
 from ..hw.config import ArchConfig
 from ..runner.engine import WorkloadSpec
-from ..workloads.generator import cached_workload
-from ..workloads.workload import ModelWorkload
 
 
 @dataclass(frozen=True)
@@ -126,22 +124,3 @@ def scales_markdown_table() -> str:
         )
     return "\n".join(lines)
 
-
-def get_workload(model_name: str, dataset_name: str, scale: ExperimentScale) -> ModelWorkload:
-    """Workload for a model/dataset pair at the requested scale (read-only).
-
-    Delegates to the generator-level memo the sweep engine uses too, so
-    experiments and engine workers in the same process share one workload
-    instance per spec, and with it each layer's cached spike counts.
-    """
-    return cached_workload(
-        model_name,
-        dataset_name,
-        batch_size=scale.batch_size,
-        num_steps=scale.num_steps,
-        seed=0,
-        split="test",
-        # lru_cache keys on the keywords as passed: these are the engine's,
-        # in its order, so both share one memo entry.
-        temporal=False,
-    )

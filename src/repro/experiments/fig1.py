@@ -15,7 +15,8 @@ import numpy as np
 
 from ..analysis.clustering import top_pattern_coverage
 from ..analysis.tsne import TSNEResult, tsne
-from .common import SMALL, ExperimentScale, get_workload
+from ..runner.engine import SweepEngine
+from .common import SMALL, ExperimentScale
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,18 @@ def run_fig1(
     num_rows: int = 256,
     seed: int = 0,
     tsne_iterations: int = 200,
+    engine: SweepEngine | None = None,
 ) -> Fig1Result:
-    """Reproduce the Fig. 1 comparison of activation distributions."""
+    """Reproduce the Fig. 1 comparison of activation distributions.
+
+    ``engine`` only supplies the workload (from its artifact store).
+    """
     rng = np.random.default_rng(seed)
 
     # SNN spike activations: a Spikformer attention-projection layer.
-    workload = get_workload("spikformer", "cifar100", scale)
+    workload = (engine or SweepEngine()).workload(
+        scale.workload_spec("spikformer", "cifar100")
+    )
     snn_rows = None
     for layer in workload:
         if layer.k >= 32 and layer.m >= num_rows:

@@ -16,7 +16,8 @@ from ..analysis.clustering import ClusterStats, cluster_stats, distribution_over
 from ..analysis.tsne import TSNEResult, tsne
 from ..core.calibration import PhiCalibrator
 from ..core.paft import ActivationAligner
-from .common import SMALL, ExperimentScale, get_workload
+from ..runner.engine import SweepEngine
+from .common import SMALL, ExperimentScale
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,16 @@ def run_fig9(
     alignment_strength: float = 0.6,
     compute_embeddings: bool = False,
     seed: int = 0,
+    engine: SweepEngine | None = None,
 ) -> Fig9Result:
-    """Reproduce the Fig. 9 PAFT clustering analysis."""
-    layer = get_workload(model_name, dataset_name, scale)[layer_index]
+    """Reproduce the Fig. 9 PAFT clustering analysis.
+
+    ``engine`` only supplies the workload (from its artifact store).
+    """
+    workload = (engine or SweepEngine()).workload(
+        scale.workload_spec(model_name, dataset_name)
+    )
+    layer = workload[layer_index]
     # Split the recorded rows into disjoint "train" and "test" halves so
     # the overlap measurement is meaningful even on the cached workload.
     rows = layer.activations

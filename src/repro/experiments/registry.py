@@ -2,8 +2,8 @@
 
 Each paper artifact (figure, table, or discussion analysis) is described
 by one :class:`ExperimentSpec`: what it reproduces, the claim being
-checked, how to run it at each scale tier, and whether its simulation
-points route through the :class:`~repro.runner.SweepEngine`.  The
+checked, how to run it at each scale tier, and whether it takes a
+:class:`~repro.runner.SweepEngine`.  The
 registry is what makes experiments *enumerable*: the report pipeline
 (:mod:`repro.report`), the runner CLI and the consistency tests all
 iterate over :data:`REGISTRY` instead of hand-importing harness modules.
@@ -11,8 +11,8 @@ iterate over :data:`REGISTRY` instead of hand-importing harness modules.
 Registering a new experiment means adding one spec here (and an emitter
 in :mod:`repro.report.emitters` if it should appear in the report).
 
-Harnesses with ``uses_engine=True`` never touch an accelerator model
-directly: they submit :class:`~repro.runner.SweepPoint` grids and read
+No harness touches an accelerator model directly: those that simulate
+submit :class:`~repro.runner.SweepPoint` grids to the engine and read
 the canonical cache-schema-v3 records the engine flattens from
 :class:`~repro.hw.pipeline.RunResult` — the same record shape for Phi
 and every baseline, so per-accelerator glue does not exist at this
@@ -83,9 +83,10 @@ class ExperimentSpec:
         Dotted module path and function name of the harness; resolved
         lazily so importing the registry stays cheap.
     uses_engine:
-        Whether the harness routes simulation points through a
-        :class:`~repro.runner.SweepEngine` (and therefore benefits from
-        ``--jobs`` and the on-disk result cache).
+        Whether the harness takes a :class:`~repro.runner.SweepEngine`,
+        for its sweeps (which then benefit from ``--jobs`` and the
+        on-disk result cache) or for its workload reads (served by the
+        engine's artifact store).
     uses_scale:
         Whether the entry point takes an :class:`ExperimentScale` as its
         first argument (``table3`` does not — it is pure energy-model
@@ -235,6 +236,7 @@ REGISTRY: tuple[ExperimentSpec, ...] = (
             "activations or normally distributed data, which is what makes "
             "a small calibrated pattern set cover most activation rows."
         ),
+        uses_engine=True,
         presets={"tiny": {"num_rows": 96, "tsne_iterations": 60}},
     ),
     _spec(
@@ -282,6 +284,7 @@ REGISTRY: tuple[ExperimentSpec, ...] = (
             "and PAFT tightens activation clusters (fewer, denser "
             "clusters) rather than changing them wholesale."
         ),
+        uses_engine=True,
         presets={"tiny": {"num_rows": 192}},
     ),
     _spec(

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..runner.engine import SweepEngine
-from ..workloads.generator import cached_workload
 from ..workloads.temporal import temporal_density_profile
 from .common import SMALL, ExperimentScale
 from .fig8 import Fig8Result, WorkloadComparison, _compare_specs
@@ -48,28 +47,22 @@ def run_temporal(
 
     The entire (workload x accelerator) grid is submitted to the engine as
     one batch so every point can run in parallel; the per-step density
-    profile is computed from the in-process workload memo afterwards.
+    profile is computed afterwards from the workload the engine
+    simulated, read through :meth:`SweepEngine.workload`.
     The result holds one :class:`TemporalComparison` per workload.
     """
     specs = [
         replace(scale.workload_spec(model, dataset), temporal=True)
         for model, dataset in workloads
     ]
-    result = Fig8Result()
-    for comparison in _compare_specs(
-        specs, scale, paft_strength, engine or SweepEngine()
-    ):
-        workload = cached_workload(
-            comparison.model,
-            comparison.dataset,
-            batch_size=scale.batch_size,
-            num_steps=scale.num_steps,
-            temporal=True,
-        )
-        result.comparisons.append(
+    engine = engine or SweepEngine()
+    comparisons = _compare_specs(specs, scale, paft_strength, engine)
+    return Fig8Result(
+        [
             TemporalComparison(
                 **vars(comparison),
-                density_by_step=temporal_density_profile(workload),
+                density_by_step=temporal_density_profile(engine.workload(spec)),
             )
-        )
-    return result
+            for spec, comparison in zip(specs, comparisons)
+        ]
+    )

@@ -49,7 +49,7 @@ from ..hw.config import ArchConfig
 from ..hw.energy import PhiEnergyModel
 from ..hw.pipeline import AcceleratorModel, LayerResult, RunResult
 from ..hw.simulator import PhiSimulator
-from ..workloads.generator import cached_workload, generate_random_workload
+from ..workloads.generator import generate_random_workload, generate_workload
 from ..workloads.workload import LayerWorkload, ModelWorkload
 from .cache import ResultCache, cache_key
 from .store import (
@@ -523,7 +523,7 @@ def _base_workload(spec: WorkloadSpec) -> ModelWorkload:
         return generate_random_workload(
             density=spec.density, m=m, k=k, n=n, seed=spec.seed, name=spec.model
         )
-    return cached_workload(
+    return generate_workload(
         spec.model,
         spec.dataset,
         batch_size=spec.batch_size,
@@ -1391,3 +1391,12 @@ class SweepEngine:
     def run_one(self, point: SweepPoint) -> dict:
         """Convenience wrapper for a single point."""
         return self.run([point])[0]
+
+    def workload(self, spec: WorkloadSpec) -> ModelWorkload:
+        """The base workload of ``spec`` (treat it as read-only).
+
+        Served by the same artifact that this engine's sweep points use:
+        the store's memo entry or file, generated only when neither has it.
+        """
+        with _active_store(self.store):
+            return _stored_base_workload(spec)

@@ -1,7 +1,6 @@
 """Workload extraction: per-layer spike activation / weight matrices."""
 
 from .generator import (
-    cached_workload,
     extract_workload,
     generate_random_workload,
     generate_workload,
@@ -15,7 +14,6 @@ __all__ = [
     "ModelWorkload",
     "extract_workload",
     "generate_workload",
-    "cached_workload",
     "generate_random_workload",
     "paper_workload_specs",
     "temporal_density_profile",

@@ -3,13 +3,9 @@
 The generator wires together the model zoo and the synthetic datasets,
 runs a recording forward pass, and packages every GEMM whose input is a
 binary spike matrix into a :class:`~repro.workloads.workload.ModelWorkload`.
-A small in-process cache avoids repeating the (relatively expensive)
-network forward passes across experiments and benchmarks.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -134,29 +130,6 @@ def generate_workload(
         batch,
         dataset_name=dataset_name,
         pre_encoded=pre_encoded,
-        temporal=temporal,
-    )
-
-
-@lru_cache(maxsize=32)
-def cached_workload(
-    model_name: str,
-    dataset_name: str,
-    *,
-    batch_size: int = 4,
-    num_steps: int = 4,
-    seed: int = 0,
-    split: str = "test",
-    temporal: bool = False,
-) -> ModelWorkload:
-    """Memoised version of :func:`generate_workload` (treat result as read-only)."""
-    return generate_workload(
-        model_name,
-        dataset_name,
-        batch_size=batch_size,
-        num_steps=num_steps,
-        seed=seed,
-        split=split,
         temporal=temporal,
     )
 

@@ -38,7 +38,7 @@ from repro.runner.store import (
     unpack_arrays,
     write_packed,
 )
-from repro.workloads.generator import cached_workload, generate_random_workload
+from repro.workloads.generator import generate_random_workload
 
 
 def tiny_workload(seed: int = 0):
@@ -347,7 +347,6 @@ class TestConcurrentWrites:
 
 def _clear_process_memos() -> None:
     """Drop every in-process memo so only the on-disk store can serve."""
-    cached_workload.cache_clear()
     engine_module._MEMO.clear()
 
 
