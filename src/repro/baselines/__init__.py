@@ -1,10 +1,12 @@
 """Analytical models of prior SNN accelerators (Table 2 baselines).
 
 Every baseline implements the unified
-:class:`~repro.hw.pipeline.AcceleratorModel` interface and reports
-through the canonical :class:`~repro.hw.pipeline.RunResult` schema, so
-the sweep engine and the experiment harnesses treat Phi and the
-baselines identically.
+:class:`~repro.hw.pipeline.AcceleratorModel` interface: it plugs its
+dataflow's cycle model into :class:`BaselineAccelerator`, which builds
+each canonical :class:`~repro.hw.pipeline.LayerResult` directly and the
+:class:`~repro.hw.pipeline.RunResult` with run-level energy, so the
+sweep engine and the experiment harnesses treat Phi and the baselines
+identically.
 """
 
 from .base import (

@@ -9,13 +9,14 @@ throughput and energy efficiency are directly comparable across all
 accelerators (Section 5.1).
 
 All baselines implement the shared
-:class:`~repro.hw.pipeline.AcceleratorModel` interface: a layer runs
-through a two-stage :class:`~repro.hw.pipeline.Pipeline` (compute →
-DRAM) producing the same canonical
-:class:`~repro.hw.pipeline.LayerResult` / :class:`~repro.hw.pipeline.RunResult`
-schema as the cycle-level Phi simulator, with energy accounted at run
-level (static power × runtime + dynamic energy per executed
-accumulation).
+:class:`~repro.hw.pipeline.AcceleratorModel` interface and report the
+same canonical :class:`~repro.hw.pipeline.LayerResult` /
+:class:`~repro.hw.pipeline.RunResult` schema as the cycle-level Phi
+simulator.  A layer's compute cycles come from the baseline's
+dataflow model (:meth:`BaselineAccelerator.layer_compute_cycles`), its
+memory cycles from streaming dense activations, dense weights and
+binary output spikes; energy is accounted at run level (static power ×
+runtime + dynamic energy per executed accumulation).
 """
 
 from __future__ import annotations
@@ -31,14 +32,7 @@ from ..hw.energy import (
     DRAM_ENERGY_PER_BYTE_PJ,
     EnergyBreakdown,
 )
-from ..hw.pipeline import (
-    AcceleratorModel,
-    LayerContext,
-    LayerResult,
-    Pipeline,
-    RunResult,
-    StageRecord,
-)
+from ..hw.pipeline import AcceleratorModel, LayerResult, RunResult
 from ..workloads.workload import LayerWorkload, ModelWorkload
 
 #: On-chip SRAM bytes touched per executed accumulation: a weight element
@@ -68,61 +62,6 @@ def output_bytes(layer: LayerWorkload) -> float:
     return layer.m * layer.n / 8.0
 
 
-class BaselineComputeStage:
-    """Compute stage of the baseline pipeline.
-
-    Delegates the cycle count to the owning model's
-    :meth:`BaselineAccelerator.layer_compute_cycles`, which is where each
-    baseline encodes its dataflow (dense execution, load imbalance,
-    window batching, ...).
-    """
-
-    name = "compute"
-
-    def __init__(self, model: "BaselineAccelerator") -> None:
-        self.model = model
-
-    def run(self, ctx: LayerContext) -> StageRecord:
-        """Account the layer's compute cycles."""
-        compute = self.model.layer_compute_cycles(ctx.layer)
-        ctx.scratch["compute_cycles"] = compute
-        return StageRecord(name=self.name, cycles=compute)
-
-
-class BaselineDramStage:
-    """DRAM stage of the baseline pipeline; assembles the layer result.
-
-    All baselines stream dense (bit-packed) activations, dense weights
-    and binary output spikes.  The memory latency is taken from the
-    result's :attr:`~repro.hw.pipeline.LayerResult.dram_bytes`, the sum
-    of those component fields, so latency and traffic cannot disagree.
-    """
-
-    name = "dram"
-
-    def __init__(self, model: "BaselineAccelerator") -> None:
-        self.model = model
-
-    def run(self, ctx: LayerContext) -> StageRecord:
-        """Account the layer's off-chip traffic and build ``ctx.result``."""
-        layer = ctx.layer
-        config = self.model.config
-        result = ctx.result = LayerResult(
-            layer_name=layer.name,
-            m=layer.m,
-            k=layer.k,
-            n=layer.n,
-            compute_cycles=ctx.scratch["compute_cycles"],
-            operations=paper_operations(layer),
-            activation_bytes=dense_activation_bytes(layer),
-            weight_bytes=weight_bytes(layer, config),
-            output_bytes=output_bytes(layer),
-        )
-        dram = result.dram_bytes
-        memory = result.memory_cycles = dram / config.dram_bytes_per_cycle
-        return StageRecord(name=self.name, cycles=memory, dram_bytes=dram)
-
-
 class BaselineAccelerator(AcceleratorModel):
     """Abstract analytical model of an SNN accelerator.
 
@@ -145,9 +84,6 @@ class BaselineAccelerator(AcceleratorModel):
 
     def __init__(self, config: ArchConfig | None = None) -> None:
         self.config = config or ArchConfig()
-        self.pipeline = Pipeline(
-            (BaselineComputeStage(self), BaselineDramStage(self))
-        )
 
     # ------------------------------------------------------------------ #
     @abstractmethod
@@ -167,8 +103,25 @@ class BaselineAccelerator(AcceleratorModel):
 
     # ------------------------------------------------------------------ #
     def simulate_layer(self, layer: LayerWorkload) -> LayerResult:
-        """Simulate one layer through the compute → DRAM stage pipeline."""
-        return self.pipeline.run_layer(LayerContext(layer=layer))
+        """Simulate one layer: dataflow compute cycles, dense DRAM traffic.
+
+        The memory latency is taken from the result's
+        :attr:`~repro.hw.pipeline.LayerResult.dram_bytes`, the sum of
+        its traffic fields, so latency and traffic cannot disagree.
+        """
+        result = LayerResult(
+            layer_name=layer.name,
+            m=layer.m,
+            k=layer.k,
+            n=layer.n,
+            compute_cycles=self.layer_compute_cycles(layer),
+            operations=paper_operations(layer),
+            activation_bytes=dense_activation_bytes(layer),
+            weight_bytes=weight_bytes(layer, self.config),
+            output_bytes=output_bytes(layer),
+        )
+        result.memory_cycles = result.dram_bytes / self.config.dram_bytes_per_cycle
+        return result
 
     def simulate(self, workload: ModelWorkload) -> RunResult:
         """Simulate a complete model workload."""

@@ -372,6 +372,7 @@ REGISTRY: tuple[ExperimentSpec, ...] = (
             "accumulation energy it removes exceeds its own cost by well "
             "over an order of magnitude on every workload."
         ),
+        uses_engine=True,
     ),
     _spec(
         "temporal",

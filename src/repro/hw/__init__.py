@@ -1,4 +1,4 @@
-"""Phi accelerator: unified model pipeline, cycle-level simulator and energy model."""
+"""Phi accelerator: unified model schema, cycle-level simulator and energy model."""
 
 from .config import ArchConfig, BufferSizes
 from .energy import (
@@ -8,16 +8,7 @@ from .energy import (
     EnergyBreakdown,
     PhiEnergyModel,
 )
-from .pipeline import (
-    AcceleratorModel,
-    DerivedMetricsMixin,
-    LayerContext,
-    LayerResult,
-    Pipeline,
-    RunResult,
-    Stage,
-    StageRecord,
-)
+from .pipeline import AcceleratorModel, LayerResult, RunResult
 from .simulator import PhiSimulator
 
 __all__ = [
@@ -29,12 +20,7 @@ __all__ = [
     "BUFFER_ENERGY_PER_BYTE_PJ",
     "DRAM_ENERGY_PER_BYTE_PJ",
     "AcceleratorModel",
-    "DerivedMetricsMixin",
-    "LayerContext",
     "LayerResult",
-    "Pipeline",
     "RunResult",
-    "Stage",
-    "StageRecord",
     "PhiSimulator",
 ]

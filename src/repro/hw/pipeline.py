@@ -1,34 +1,33 @@
-"""Unified accelerator-model pipeline: one stage graph, one result schema.
+"""Unified accelerator-model schema: one per-layer and one per-run account.
 
 Every accelerator model in this repository — the cycle-level Phi
-simulator and the five analytical baselines — expresses a layer
-simulation as a :class:`Pipeline` of :class:`Stage` objects (tiling →
-preprocess → compute → DRAM → energy for Phi; compute → DRAM for the
-baselines, with run-level energy) and reports through one canonical
-result schema:
+simulator and the five analytical baselines — implements one interface
+and reports through one canonical result schema:
 
-* :class:`StageRecord` — uniform per-stage accounting (cycles, DRAM
-  bytes, energy, free-form detail counters),
-* :class:`LayerResult` — the per-layer record,
-* :class:`RunResult` — the per-workload record with all shared derived
-  metrics (total cycles, runtime, GOPS, Joules, GOPS/J, GOPS/mm²,
-  DRAM bytes) implemented once in :class:`DerivedMetricsMixin`,
+* :class:`LayerResult` — the per-layer record (compute and memory
+  cycles, Phi's per-unit cycle splits, traffic components, energy),
+* :class:`RunResult` — the per-workload record with every shared
+  derived metric (total cycles, runtime, GOPS, Joules, GOPS/J,
+  GOPS/mm², DRAM bytes),
 * :class:`AcceleratorModel` — the interface every accelerator plugs
   into.  Batching lives in the sweep engine
   (:func:`repro.runner.engine.simulate_many`), which runs whole *point*
   grids — one model per configuration — in workload-grouped dispatches.
 
-The sweep engine (:mod:`repro.runner.engine`) flattens a
-:class:`RunResult` into the cache-schema-v3 record that the experiment
-harnesses and the report pipeline consume, so nothing downstream ever
-needs to know which accelerator produced a number.
+How a model fills a :class:`LayerResult` is its own affair: Phi runs
+five stages in order (:mod:`repro.hw.simulator`), a baseline applies
+its analytical cycle model (:mod:`repro.baselines.base`).  The sweep
+engine (:mod:`repro.runner.engine`) flattens a :class:`RunResult` into
+the cache-schema-v3 record that the experiment harnesses and the report
+pipeline consume, so nothing downstream ever needs to know which
+accelerator produced a number.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any
 
 from ..core.metrics import (
     OperationCounts,
@@ -41,116 +40,6 @@ from .energy import EnergyBreakdown
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..workloads.workload import LayerWorkload, ModelWorkload
-
-
-# --------------------------------------------------------------------- #
-# Stage protocol and composition
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class StageRecord:
-    """Uniform accounting record emitted by one pipeline stage.
-
-    Attributes
-    ----------
-    name:
-        Stage name (``"tiling"``, ``"preprocess"``, ``"compute"``,
-        ``"dram"``, ``"energy"``).
-    cycles:
-        Cycles this stage contributes to the layer.  Overlapped stages
-        (e.g. the Phi preprocessor, which hides behind compute) report
-        their busy cycles here but do not add to the layer latency; the
-        layer's critical path is owned by :class:`LayerResult`.
-    dram_bytes:
-        Off-chip traffic attributed to this stage.
-    energy_joules:
-        Energy attributed to this stage (0 for models that account
-        energy at run level).
-    detail:
-        Free-form counters for inspection (pattern-match comparisons,
-        pack counts, per-component traffic, ...).
-    """
-
-    name: str
-    cycles: float = 0.0
-    dram_bytes: float = 0.0
-    energy_joules: float = 0.0
-    detail: dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
-class LayerContext:
-    """Mutable blackboard threaded through the stages of one layer.
-
-    Attributes
-    ----------
-    layer:
-        The layer workload being simulated.
-    calibration:
-        Optional per-layer calibration (Phi pattern sets); analytical
-        baselines leave it ``None``.
-    scratch:
-        Inter-stage scratch space (decompositions, packs, counters).
-        Keys are owned by the stage that writes them.
-    result:
-        The :class:`LayerResult` under construction; the stage that
-        completes the accounting (conventionally the DRAM stage) must
-        assign it, later stages may enrich it.
-    """
-
-    layer: "LayerWorkload"
-    calibration: Any = None
-    scratch: dict[str, Any] = field(default_factory=dict)
-    result: "LayerResult | None" = None
-
-
-@runtime_checkable
-class Stage(Protocol):
-    """One step of an accelerator's layer pipeline.
-
-    A stage reads and writes the shared :class:`LayerContext` and
-    returns a :class:`StageRecord` describing what it accounted.  Stages
-    are composed by :class:`Pipeline` and must not depend on being run
-    more than once per context.
-    """
-
-    name: str
-
-    def run(self, ctx: LayerContext) -> StageRecord:
-        """Execute the stage against ``ctx`` and return its record."""
-        ...
-
-
-class Pipeline:
-    """An ordered composition of :class:`Stage` objects.
-
-    Parameters
-    ----------
-    stages:
-        Stages executed in order for every layer.  The stage list is the
-        accelerator's *stage graph*: linear here, because every modelled
-        accelerator synchronises at stage boundaries; concurrency inside
-        a boundary (e.g. Phi's L1 ∥ L2 processors) is modelled inside
-        the owning stage.
-    """
-
-    def __init__(self, stages: Iterable[Stage]) -> None:
-        self.stages: tuple[Stage, ...] = tuple(stages)
-        names = [stage.name for stage in self.stages]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate stage names in pipeline: {names}")
-
-    def run_layer(self, ctx: LayerContext) -> "LayerResult":
-        """Run every stage over ``ctx`` and return the finished layer result."""
-        records: list[StageRecord] = []
-        for stage in self.stages:
-            records.append(stage.run(ctx))
-        if ctx.result is None:
-            raise RuntimeError(
-                "pipeline finished without a stage building ctx.result; "
-                f"stages: {[s.name for s in self.stages]}"
-            )
-        ctx.result.stages = records
-        return ctx.result
 
 
 # --------------------------------------------------------------------- #
@@ -190,7 +79,6 @@ class LayerResult:
     psum_spill_bytes: float = 0.0
     pattern_match_comparisons: int = 0
     energy: EnergyBreakdown = field(default_factory=EnergyBreakdown)
-    stages: list[StageRecord] = field(default_factory=list)
 
     @property
     def total_cycles(self) -> float:
@@ -209,18 +97,30 @@ class LayerResult:
         )
 
 
-class DerivedMetricsMixin:
-    """Shared derived metrics over a ``layers`` list.
+@dataclass
+class RunResult:
+    """Canonical per-workload result of any accelerator model.
 
-    Implemented once and used by :class:`RunResult`: the
-    consumer-visible metric set the paper's Table 2 / Fig. 8 comparisons
-    are built from.  Hosts must provide ``layers``, ``frequency_hz``,
-    ``area_mm2`` and ``energy``.
+    Its properties are the consumer-visible metric set the paper's
+    Table 2 / Fig. 8 comparisons are built from.  Energy is either accumulated per layer (Phi: every
+    :class:`LayerResult` carries an :class:`EnergyBreakdown`) or
+    accounted at run level (the analytical baselines set
+    :attr:`run_energy`); :attr:`energy` resolves to whichever the model
+    populated.
     """
 
-    layers: list[LayerResult]
-    frequency_hz: float
-    area_mm2: float
+    accelerator: str = "phi"
+    model_name: str = ""
+    dataset_name: str = ""
+    frequency_hz: float = 0.0
+    area_mm2: float = 0.0
+    config: ArchConfig | None = None
+    layers: list[LayerResult] = field(default_factory=list)
+    run_energy: EnergyBreakdown | None = None
+
+    def __post_init__(self) -> None:
+        if not self.frequency_hz and self.config is not None:
+            self.frequency_hz = self.config.frequency_hz
 
     @property
     def total_cycles(self) -> float:
@@ -273,31 +173,6 @@ class DerivedMetricsMixin:
         """Total DRAM traffic."""
         return sum(layer.dram_bytes for layer in self.layers)
 
-
-@dataclass
-class RunResult(DerivedMetricsMixin):
-    """Canonical per-workload result of any accelerator model.
-
-    Energy is either accumulated per layer (Phi: every
-    :class:`LayerResult` carries an :class:`EnergyBreakdown`) or
-    accounted at run level (the analytical baselines set
-    :attr:`run_energy`); :attr:`energy` resolves to whichever the model
-    populated.
-    """
-
-    accelerator: str = "phi"
-    model_name: str = ""
-    dataset_name: str = ""
-    frequency_hz: float = 0.0
-    area_mm2: float = 0.0
-    config: ArchConfig | None = None
-    layers: list[LayerResult] = field(default_factory=list)
-    run_energy: EnergyBreakdown | None = None
-
-    def __post_init__(self) -> None:
-        if not self.frequency_hz and self.config is not None:
-            self.frequency_hz = self.config.frequency_hz
-
     @property
     def energy(self) -> EnergyBreakdown:
         """Total energy: run-level when set, else summed over layers."""
@@ -349,8 +224,7 @@ class RunResult(DerivedMetricsMixin):
 class AcceleratorModel(ABC):
     """Interface every accelerator model plugs into the runner through.
 
-    Implementations express their per-layer behaviour as a
-    :class:`Pipeline` of stages and report through the canonical
+    Implementations report through the canonical
     :class:`LayerResult` / :class:`RunResult` schema.  The sweep engine,
     experiment harnesses and report emitters consume *only* this
     interface — a structural test (``tests/test_pipeline.py``) enforces

@@ -5,8 +5,8 @@ the recorded spike activations of a model together with the calibrated
 patterns, models the behaviour of every architectural component at the
 tile level, and reports cycles, memory traffic and energy.
 
-Execution model per layer (K-first tiling, Section 4.1), expressed as a
-:class:`~repro.hw.pipeline.Pipeline` of five stages:
+Execution model per layer (K-first tiling, Section 4.1), five stages
+run in order over one :class:`LayerContext`:
 
 * **tiling** — the activation matrix, decomposed once into the
   two-level Phi representation, is split into ``tile_m``-row M tiles,
@@ -24,10 +24,10 @@ Execution model per layer (K-first tiling, Section 4.1), expressed as a
   layer latency,
 * **energy** — activity counters are folded into an energy breakdown.
 
-Each stage emits a :class:`~repro.hw.pipeline.StageRecord`; the layer
-outcome is the canonical :class:`~repro.hw.pipeline.LayerResult` and a
-model run aggregates into :class:`~repro.hw.pipeline.RunResult` — the
-same schema every baseline accelerator reports through.
+The dram stage builds the layer's canonical
+:class:`~repro.hw.pipeline.LayerResult` and the energy stage completes
+it; a model run aggregates into :class:`~repro.hw.pipeline.RunResult` —
+the same schema every baseline accelerator reports through.
 
 Every simulation runs through :func:`simulate_phi_many`: it decomposes
 each layer it was given no decomposition for, plans each layer's
@@ -41,8 +41,8 @@ are batches of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -56,15 +56,30 @@ from .energy import EnergyBreakdown, PhiEnergyModel
 from .l1_processor import L1Processor, distinct_nonzero_per_column
 from .l2_processor import L2Processor
 from .neuron_array import SpikingNeuronArray
-from .pipeline import (
-    AcceleratorModel,
-    LayerContext,
-    LayerResult,
-    Pipeline,
-    RunResult,
-    StageRecord,
-)
+from .pipeline import AcceleratorModel, LayerResult, RunResult
 from .preprocessor import CompressedCounts, pack_counts_batch
+
+
+@dataclass
+class LayerContext:
+    """Mutable blackboard threaded through the Phi stages of one layer.
+
+    Attributes
+    ----------
+    layer:
+        The layer workload being simulated.
+    scratch:
+        Inter-stage scratch space (decompositions, packs, counters).
+        Keys are owned by the stage that writes them.
+    result:
+        The :class:`~repro.hw.pipeline.LayerResult` under construction;
+        the dram stage builds it and the energy stage completes it.
+    """
+
+    layer: LayerWorkload
+    scratch: dict[str, Any] = field(default_factory=dict)
+    result: LayerResult | None = None
+
 
 class PhiTilingStage:
     """Tiling: record the layer's M × K × N tile grid.
@@ -81,22 +96,13 @@ class PhiTilingStage:
     def __init__(self, simulator: "PhiSimulator") -> None:
         self.simulator = simulator
 
-    def run(self, ctx: LayerContext) -> StageRecord:
+    def run(self, ctx: LayerContext) -> None:
         """Record the tile grid in the context."""
         plan = ctx.scratch["preprocess_plan"]
-        num_n_tiles = int(np.ceil(ctx.layer.n / self.simulator.arch.tile_n))
         ctx.scratch.update(
             m_tiles=plan.m_tiles,
             num_partitions=plan.num_partitions,
-            num_n_tiles=num_n_tiles,
-        )
-        return StageRecord(
-            name=self.name,
-            detail={
-                "m_tiles": len(plan.m_tiles),
-                "k_partitions": plan.num_partitions,
-                "n_tiles": num_n_tiles,
-            },
+            num_n_tiles=int(np.ceil(ctx.layer.n / self.simulator.arch.tile_n)),
         )
 
 
@@ -187,7 +193,7 @@ class PhiPreprocessStage:
     def __init__(self, simulator: "PhiSimulator") -> None:
         self.simulator = simulator
 
-    def run(self, ctx: LayerContext) -> StageRecord:
+    def run(self, ctx: LayerContext) -> None:
         """Produce the per-M-tile pack counts and preprocessing counters."""
         plan = ctx.scratch.pop("preprocess_plan")
         packed = ctx.scratch.pop("preprocess_packed")
@@ -200,25 +206,10 @@ class PhiPreprocessStage:
         preproc_cycles = float(
             np.maximum(rows[:, None], packed.cycles.reshape(shape)).sum()
         )
-        match_comparisons = int(rows.sum()) * sum(plan.pattern_counts)
-        # Every weight unit is one Level 2 correction.
-        l2_nonzeros_total = int(packed.weight_units.sum())
-        packs_per_tile = packed.num_packs.reshape(shape).sum(axis=1)
-
         ctx.scratch.update(
-            packs_per_tile=packs_per_tile,
+            packs_per_tile=packed.num_packs.reshape(shape).sum(axis=1),
             preproc_cycles=preproc_cycles,
-            match_comparisons=match_comparisons,
-            l2_nonzeros_total=l2_nonzeros_total,
-        )
-        return StageRecord(
-            name=self.name,
-            cycles=preproc_cycles,
-            detail={
-                "match_comparisons": match_comparisons,
-                "l2_nonzeros": l2_nonzeros_total,
-                "packs": int(packs_per_tile.sum()),
-            },
+            match_comparisons=int(rows.sum()) * sum(plan.pattern_counts),
         )
 
 
@@ -236,7 +227,7 @@ class PhiComputeStage:
     def __init__(self, simulator: "PhiSimulator") -> None:
         self.simulator = simulator
 
-    def run(self, ctx: LayerContext) -> StageRecord:
+    def run(self, ctx: LayerContext) -> None:
         """Accumulate L1/L2/neuron cycles over the M×N tile grid."""
         sim = self.simulator
         layer = ctx.layer
@@ -268,15 +259,6 @@ class PhiComputeStage:
             neuron_cycles=neuron_cycles_total,
             per_tile_unique_rows=per_tile_unique_rows,
         )
-        return StageRecord(
-            name=self.name,
-            cycles=compute_cycles,
-            detail={
-                "l1_cycles": l1_cycles_total,
-                "l2_cycles": l2_cycles_total,
-                "neuron_cycles": neuron_cycles_total,
-            },
-        )
 
 
 class PhiDramStage:
@@ -287,7 +269,7 @@ class PhiDramStage:
     def __init__(self, simulator: "PhiSimulator") -> None:
         self.simulator = simulator
 
-    def run(self, ctx: LayerContext) -> StageRecord:
+    def run(self, ctx: LayerContext) -> None:
         """Account all off-chip traffic and build ``ctx.result``."""
         sim = self.simulator
         arch = sim.arch
@@ -368,18 +350,6 @@ class PhiDramStage:
             psum_spill_bytes=psum_spill,
             pattern_match_comparisons=ctx.scratch["match_comparisons"],
         )
-        return StageRecord(
-            name=self.name,
-            cycles=memory_cycles,
-            dram_bytes=dram_bytes,
-            detail={
-                "activation_bytes": activation_bytes,
-                "weight_bytes": weight_bytes,
-                "pwp_bytes_prefetched": pwp_prefetched,
-                "output_bytes": output_bytes,
-                "psum_spill_bytes": psum_spill,
-            },
-        )
 
 
 class PhiEnergyStage:
@@ -390,14 +360,9 @@ class PhiEnergyStage:
     def __init__(self, simulator: "PhiSimulator") -> None:
         self.simulator = simulator
 
-    def run(self, ctx: LayerContext) -> StageRecord:
+    def run(self, ctx: LayerContext) -> None:
         """Attach the per-layer :class:`EnergyBreakdown` to the result."""
         ctx.result.energy = self.simulator._layer_energy(ctx.result)
-        return StageRecord(
-            name=self.name,
-            energy_joules=ctx.result.energy.total,
-            detail=dict(ctx.result.energy.components),
-        )
 
 
 class PhiSimulator(AcceleratorModel):
@@ -438,14 +403,12 @@ class PhiSimulator(AcceleratorModel):
         self.l1 = L1Processor(self.arch)
         self.l2 = L2Processor(self.arch)
         self.neuron_array = SpikingNeuronArray(self.arch)
-        self.pipeline = Pipeline(
-            (
-                PhiTilingStage(self),
-                PhiPreprocessStage(self),
-                PhiComputeStage(self),
-                PhiDramStage(self),
-                PhiEnergyStage(self),
-            )
+        self.layer_stages = (
+            PhiTilingStage(self),
+            PhiPreprocessStage(self),
+            PhiComputeStage(self),
+            PhiDramStage(self),
+            PhiEnergyStage(self),
         )
 
     # ------------------------------------------------------------------ #
@@ -538,7 +501,7 @@ class PhiSimulator(AcceleratorModel):
                 f"{decomposition.total_width}) does not match layer "
                 f"({layer.m}, {layer.k})"
             )
-        ctx = LayerContext(layer=layer, calibration=layer_calibration)
+        ctx = LayerContext(layer=layer)
         ctx.scratch["decomposition"] = decomposition
         return ctx
 
@@ -587,7 +550,7 @@ def simulate_phi_many(
     of every task — potentially under *different* Phi/arch
     configurations — is planned first, every layer is packed in a single
     lockstep batch (:func:`~repro.hw.preprocessor.pack_counts_batch`),
-    and the per-task pipelines then consume their layers' results.  A task's result
+    and each task's stages then consume their layers' results.  A task's result
     does not depend on the batch it runs in, because every per-layer
     quantity is computed by the same (deterministic) code on the same
     inputs — only the loop structure changes (property-tested).
@@ -655,6 +618,8 @@ def simulate_phi_many(
     for simulator, result, contexts in prepared:
         for ctx, job in contexts:
             ctx.scratch["preprocess_packed"] = packed[job]
-            result.layers.append(simulator.pipeline.run_layer(ctx))
+            for stage in simulator.layer_stages:
+                stage.run(ctx)
+            result.layers.append(ctx.result)
         results.append(result)
     return results

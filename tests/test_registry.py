@@ -9,6 +9,7 @@ construct simulators directly.
 
 from __future__ import annotations
 
+import inspect
 import pathlib
 import re
 
@@ -62,6 +63,14 @@ class TestRegistryCompleteness:
     def test_presets_reference_known_tiers(self):
         for spec in REGISTRY:
             assert set(spec.presets) <= set(SCALES), spec.name
+
+    def test_uses_engine_matches_the_entry_point_signature(self):
+        # A harness that takes ``engine=`` but is not flagged never
+        # receives the runner's or the report's engine, so it ignores
+        # --jobs, the result cache and the artifact store.
+        for spec in REGISTRY:
+            takes_engine = "engine" in inspect.signature(spec.runner()).parameters
+            assert spec.uses_engine == takes_engine, spec.name
 
 
 class TestRegistryLookup:
