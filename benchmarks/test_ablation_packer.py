@@ -12,7 +12,7 @@ import pytest
 from conftest import run_once
 
 from repro.core import PhiCalibrator
-from repro.core.sparsity import decompose_tile
+from repro.core.sparsity import decompose_matrix
 from repro.hw import ArchConfig
 from repro.hw.preprocessor import CompressedCounts, pack_counts_batch
 from repro.runner.engine import DECOMPOSITION, SweepEngine, SweepPoint
@@ -34,8 +34,9 @@ def _pack_utilization(workload, scale, windows: int) -> float:
         tile = layer.activations[: arch.tile_m, start:stop]
         if tile.shape[1] == 0:
             continue
-        level2 = decompose_tile(tile, calibration.pattern_sets[p]).level2
-        per_row = np.count_nonzero(level2, axis=1)
+        per_row = decompose_matrix(
+            tile, calibration.pattern_sets[p : p + 1], tile.shape[1]
+        ).level2_nonzeros[:, 0]
         kept = np.flatnonzero(per_row)
         row_ids.append(kept)
         row_nonzeros.append(per_row[kept])

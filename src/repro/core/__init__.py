@@ -1,4 +1,9 @@
-"""Core Phi sparsity algorithm: patterns, clustering, calibration, PAFT."""
+"""Core Phi sparsity algorithm: patterns, clustering, calibration, PAFT.
+
+A decomposed layer has one type, :class:`MatrixDecomposition`: per row
+and K partition, the assigned pattern index (Level 1) and the number of
+Level 2 corrections; its Level 2 matrix is built only on request.
+"""
 
 from .calibration import LayerCalibration, ModelCalibration, PhiCalibrator
 from .config import PAPER_CONFIG, KMeansConfig, PhiConfig
@@ -19,20 +24,13 @@ from .metrics import (
     sparsity_breakdown,
 )
 from .paft import ActivationAligner, PAFTConfig, layer_regularizer, paft_regularizer
-from .patterns import NO_PATTERN, Pattern, PatternSet
-from .sparsity import (
-    MatrixDecomposition,
-    TileDecomposition,
-    decompose_matrix,
-    decompose_tile,
-    partition_boundaries,
-)
+from .patterns import NO_PATTERN, PatternSet
+from .sparsity import MatrixDecomposition, decompose_matrix, partition_boundaries
 
 __all__ = [
     "PAPER_CONFIG",
     "PhiConfig",
     "KMeansConfig",
-    "Pattern",
     "PatternSet",
     "NO_PATTERN",
     "ClusteringResult",
@@ -40,9 +38,7 @@ __all__ = [
     "cluster_partition",
     "filter_calibration_rows",
     "hamming_distance_matrix",
-    "TileDecomposition",
     "MatrixDecomposition",
-    "decompose_tile",
     "decompose_matrix",
     "partition_boundaries",
     "PhiCalibrator",

@@ -51,34 +51,6 @@ class LayerCalibration:
         """Decompose a binary activation matrix of this layer."""
         return decompose_matrix(activations, self.pattern_sets, self.partition_size)
 
-    def compute_pwps(self, weights: np.ndarray) -> list[np.ndarray]:
-        """Pattern-weight products for every partition.
-
-        Parameters
-        ----------
-        weights:
-            Weight matrix of shape ``(K, N)``.
-
-        Returns
-        -------
-        list of numpy.ndarray
-            Entry ``p`` is the ``(q_p + 1, N)`` PWP table of partition ``p``.
-        """
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape[0] != self.total_width:
-            raise ValueError(
-                f"weights must have {self.total_width} rows, got {weights.shape[0]}"
-            )
-        bounds = partition_boundaries(self.total_width, self.partition_size)
-        return [
-            pattern_set.compute_pwps(weights[start:stop])
-            for pattern_set, (start, stop) in zip(self.pattern_sets, bounds)
-        ]
-
-    def pattern_memory_bits(self) -> int:
-        """Total on-chip storage of the pattern bits for this layer."""
-        return sum(ps.memory_bits() for ps in self.pattern_sets)
-
 
 @dataclass
 class ModelCalibration:

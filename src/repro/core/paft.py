@@ -115,15 +115,11 @@ def paft_regularizer_gradient(
     multiplies it by the spike surrogate derivative.
     """
     decomposition = calibration.decompose(activations)
-    gradient = np.zeros(activations.shape, dtype=np.float64)
-    for tile, (start, stop) in zip(decomposition.tiles, decomposition.boundaries):
-        assigned = tile.pattern_indices != NO_PATTERN
-        # Only rows with a pattern feel the alignment pressure; unassigned
-        # rows keep their plain bit-sparse representation.
-        tile_grad = np.zeros(tile.level2.shape, dtype=np.float64)
-        tile_grad[assigned] = tile.level2[assigned].astype(np.float64)
-        gradient[:, start:stop] = output_width * tile_grad
-    return gradient
+    # Only rows with a pattern feel the alignment pressure; unassigned
+    # rows keep their plain bit-sparse representation.
+    widths = [stop - start for start, stop in decomposition.boundaries]
+    assigned = np.repeat(decomposition.pattern_indices != NO_PATTERN, widths, axis=1)
+    return output_width * np.where(assigned, decomposition.level2(), 0).astype(np.float64)
 
 
 class ActivationAligner:
@@ -158,16 +154,15 @@ class ActivationAligner:
         """Return activations nudged towards their assigned patterns."""
         activations = np.asarray(activations, dtype=np.uint8)
         decomposition = calibration.decompose(activations)
+        level2 = decomposition.level2()
         aligned = activations.copy()
-        for tile, (start, stop) in zip(decomposition.tiles, decomposition.boundaries):
-            assigned = tile.pattern_indices != NO_PATTERN
+        for p, (start, stop) in enumerate(decomposition.boundaries):
+            assigned = decomposition.pattern_indices[:, p] != NO_PATTERN
             if not np.any(assigned):
                 continue
-            mismatches = tile.level2 != 0
-            mismatches[~assigned] = False
-            flip = mismatches & (
-                self._rng.random(mismatches.shape) < self.alignment_strength
-            )
+            draws = self._rng.random((activations.shape[0], stop - start))
+            mismatches = (level2[:, start:stop] != 0) & assigned[:, None]
+            flip = mismatches & (draws < self.alignment_strength)
             # Flipping a mismatching spike bit makes it equal to the
             # pattern bit.
             aligned[:, start:stop] ^= flip

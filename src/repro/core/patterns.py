@@ -12,9 +12,6 @@ and merely looked up at inference time (Section 3.1 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
 import numpy as np
 
 #: Pattern index value meaning "no pattern assigned to this row".
@@ -100,57 +97,6 @@ def hamming_packed(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return distances
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """A single binary pattern with its assigned index.
-
-    Attributes
-    ----------
-    index:
-        1-based pattern index (0 is reserved for "no pattern").
-    bits:
-        The binary row vector of the pattern, dtype ``uint8``.
-    """
-
-    index: int
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError("pattern index must be >= 1 (0 is reserved)")
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1:
-            raise ValueError("pattern bits must be a 1-D vector")
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def width(self) -> int:
-        """Length of the pattern in bits."""
-        return int(self.bits.shape[0])
-
-    @property
-    def popcount(self) -> int:
-        """Number of 1-bits in the pattern."""
-        return int(self.bits.sum())
-
-    def hamming_distance(self, row: np.ndarray) -> int:
-        """Hamming distance between this pattern and a binary ``row``."""
-        row = np.asarray(row, dtype=np.uint8)
-        if row.shape != self.bits.shape:
-            raise ValueError(
-                f"row shape {row.shape} does not match pattern width {self.width}"
-            )
-        return int(np.count_nonzero(row != self.bits))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Pattern):
-            return NotImplemented
-        return self.index == other.index and np.array_equal(self.bits, other.bits)
-
-    def __hash__(self) -> int:
-        return hash((self.index, self.bits.tobytes()))
-
-
 class PatternSet:
     """The calibrated patterns of one partition.
 
@@ -185,27 +131,6 @@ class PatternSet:
 
     def __len__(self) -> int:
         return self.num_patterns
-
-    def __iter__(self) -> Iterator[Pattern]:
-        for i, bits in enumerate(self._matrix):
-            yield Pattern(index=i + 1, bits=bits)
-
-    def __getitem__(self, index: int) -> Pattern:
-        """Return the pattern with 1-based ``index``."""
-        if index < 1 or index > self.num_patterns:
-            raise IndexError(
-                f"pattern index {index} out of range 1..{self.num_patterns}"
-            )
-        return Pattern(index=index, bits=self._matrix[index - 1])
-
-    def bits_of(self, index: int) -> np.ndarray:
-        """Return the bit vector of the pattern with 1-based ``index``.
-
-        Index 0 returns the all-zero row ("no pattern assigned").
-        """
-        if index == NO_PATTERN:
-            return np.zeros(self.width, dtype=np.uint8)
-        return self[index].bits
 
     def compute_pwps(self, weight_tile: np.ndarray) -> np.ndarray:
         """Compute the Pattern-Weight Products for a weight tile.
@@ -256,10 +181,6 @@ class PatternSet:
             self._packed = pack_rows(self._matrix)
         return hamming_packed(pack_rows(rows), self._packed)
 
-    def memory_bits(self) -> int:
-        """Storage cost of the pattern set itself in bits."""
-        return self.num_patterns * self.width
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PatternSet):
             return NotImplemented
@@ -268,10 +189,3 @@ class PatternSet:
     def __repr__(self) -> str:
         return f"PatternSet(q={self.num_patterns}, k={self.width})"
 
-    @classmethod
-    def from_patterns(cls, patterns: Iterable[Sequence[int]]) -> "PatternSet":
-        """Build a set from an iterable of binary sequences."""
-        rows = [np.asarray(p, dtype=np.uint8) for p in patterns]
-        if not rows:
-            raise ValueError("at least one pattern is required")
-        return cls(np.stack(rows))

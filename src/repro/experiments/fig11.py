@@ -80,7 +80,13 @@ def _train_dnn_counterpart(
 
 
 def _verify_lossless(network, data: np.ndarray, scale: ExperimentScale) -> bool:
-    """Check that Phi-decomposed GEMMs reproduce the exact layer outputs."""
+    """Check that Phi-decomposed GEMMs reproduce the exact layer outputs.
+
+    ``compute_output`` equals ``A @ W`` for any pattern assignment,
+    because Level 2 is built as the activations minus Level 1.  What can
+    be wrong is the stored Level 2 count of each row and partition, which
+    every cost figure reads, so those must match the built Level 2.
+    """
     _, records = network.record_activations(data)
     calibrator = PhiCalibrator(scale.phi_config())
     matmuls = {layer.name: layer for layer in network.matmul_layers()}
@@ -93,6 +99,13 @@ def _verify_lossless(network, data: np.ndarray, scale: ExperimentScale) -> bool:
         weights = matmuls[name].weight_matrix()
         reference = activations.astype(np.float64) @ weights
         if not np.allclose(decomposition.compute_output(weights), reference):
+            return False
+        level2 = decomposition.level2()
+        nonzeros = [
+            np.count_nonzero(level2[:, start:stop], axis=1)
+            for start, stop in decomposition.boundaries
+        ]
+        if not np.array_equal(np.stack(nonzeros, axis=1), decomposition.level2_nonzeros):
             return False
     return True
 

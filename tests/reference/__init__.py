@@ -7,10 +7,16 @@ bit for bit.  ``src/`` never imports from here.
 * ``kmeans`` — unweighted Hamming k-means over every calibration row
   (``repro.core.kmeans.binary_kmeans`` clusters distinct rows weighted
   by multiplicity);
-* ``sparsity`` — per-row pattern matching and decomposition
-  (``repro.core.sparsity`` matches each distinct row once), and the XOR
-  popcount recount of Level 2 from stored assignments (the store now
-  keeps the counts with the assignments);
+* ``sparsity`` — per-row pattern matching of one partition, with its
+  own per-tile result type (``repro.core.sparsity.decompose_matrix``
+  matches each distinct row once and writes straight into the two
+  ``(M, partitions)`` matrices), the XOR popcount recount of Level 2
+  from stored assignments (the store now keeps the counts with the
+  assignments), and ``check_decomposition``, which asserts that the
+  stored counts agree with Level 2 and with that recount;
+* ``metrics`` — decomposition metrics from a scan of each partition's
+  Level 2, built from its activations and pattern rows
+  (``decomposition_metrics`` reads the stored counts);
 * ``preprocessor`` — the object-stream compressor, packer and L2 pack
   costing (``repro.hw`` runs per-row counters: ``plan_preprocess``,
   ``pack_counts_batch``, whose NumPy lockstep machine keeps a multi-word
@@ -19,6 +25,7 @@ bit for bit.  ``src/`` never imports from here.
   reads each row's window as one unsigned integer) and SATO's per-group
   load-imbalance loop (``load_imbalance_cycles`` reduces cached row spike
   counts in one pass);
-* ``paft`` — per-row PAFT alignment through ``PatternSet.bits_of``
-  (``ActivationAligner.align_layer`` flips the drawn bits with one XOR).
+* ``paft`` — per-row PAFT alignment that copies each assigned row's
+  pattern bits (``ActivationAligner.align_layer`` flips the drawn bits
+  with one XOR).
 """

@@ -2,9 +2,10 @@
 
 This is ``repro.core.metrics.decomposition_metrics`` as it was before
 decompositions carried per-row Level 2 nonzero counts: one pass over the
-tiles counts the nonzeros and sums the signed values of every Level 2
-matrix.  Property tests check that the counts-based version returns the
-same operation counts and densities, float for float.
+partitions builds each Level 2 tile from its activations and pattern
+rows, counts its nonzeros and sums its signed values.  Property tests
+check that the counts-based version returns the same operation counts
+and densities, float for float.
 """
 
 from __future__ import annotations
@@ -32,16 +33,22 @@ class _DecompositionTotals:
 
 def _decomposition_totals(decomposition: MatrixDecomposition) -> _DecompositionTotals:
     elements = ones = rows = assigned = pattern_mass = nnz = signed = 0
-    for tile in decomposition.tiles:
-        elements += tile.original.size
-        ones += int(np.count_nonzero(tile.original))
-        rows += tile.num_rows
-        used = tile.pattern_indices[tile.pattern_indices != NO_PATTERN]
+    for p, (patterns, (start, stop)) in enumerate(
+        zip(decomposition.pattern_sets, decomposition.boundaries)
+    ):
+        tile = decomposition.activations[:, start:stop]
+        indices = decomposition.pattern_indices[:, p]
+        elements += tile.size
+        ones += int(np.count_nonzero(tile))
+        rows += tile.shape[0]
+        used = indices[indices != NO_PATTERN]
         assigned += used.size
         if used.size:
-            popcounts = tile.patterns.matrix.sum(axis=1)
+            popcounts = patterns.matrix.sum(axis=1)
             pattern_mass += int(popcounts[used - 1].sum())
-        level2 = tile.level2
+        level1 = np.zeros(tile.shape, dtype=np.int16)
+        level1[indices != NO_PATTERN] = patterns.matrix[used - 1]
+        level2 = tile.astype(np.int16) - level1
         nnz += int(np.count_nonzero(level2))
         signed += int(level2.sum(dtype=np.int64))
     return _DecompositionTotals(

@@ -2,8 +2,8 @@
 
 This is ``repro.core.paft.ActivationAligner.align_layer`` as it was
 before it flipped the drawn mismatching bits with one XOR: it builds
-every assigned row's pattern bits with ``PatternSet.bits_of`` and copies
-them into the flipped positions.  A test checks that both return the
+every assigned row's pattern bits one row at a time and copies them into
+the flipped positions.  A test checks that both return the
 same array and leave the aligner's generator in the same state.
 """
 
@@ -23,20 +23,23 @@ def align_layer(
     activations = np.asarray(activations, dtype=np.uint8)
     decomposition = calibration.decompose(activations)
     aligned = activations.copy()
-    for tile, (start, stop) in zip(decomposition.tiles, decomposition.boundaries):
-        assigned = tile.pattern_indices != NO_PATTERN
+    for p, (patterns, (start, stop)) in enumerate(
+        zip(decomposition.pattern_sets, decomposition.boundaries)
+    ):
+        indices = decomposition.pattern_indices[:, p]
+        assigned = indices != NO_PATTERN
         if not np.any(assigned):
             continue
-        mismatches = tile.level2 != 0
+        block = aligned[:, start:stop]
+        pattern_bits = np.zeros_like(block)
+        for i, idx in enumerate(indices):
+            if idx != NO_PATTERN:
+                pattern_bits[i] = patterns.matrix[idx - 1]
+        mismatches = block != pattern_bits
         mismatches[~assigned] = False
         flip = mismatches & (
             aligner._rng.random(mismatches.shape) < aligner.alignment_strength
         )
-        block = aligned[:, start:stop]
-        pattern_bits = np.zeros_like(block)
-        for i, idx in enumerate(tile.pattern_indices):
-            if idx != NO_PATTERN:
-                pattern_bits[i] = tile.patterns.bits_of(int(idx))
         block[flip] = pattern_bits[flip]
         aligned[:, start:stop] = block
     return aligned

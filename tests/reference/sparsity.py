@@ -1,30 +1,47 @@
-"""Per-row Phi tile decomposition.
+"""Per-row Phi tile decomposition and checks that a decomposition is right.
 
-This is ``repro.core.sparsity.decompose_tile`` as it was before it
-matched each distinct row once: every row is matched against every
-pattern (float64 GEMM form of the Hamming distance) and Level 2 is built
-with boolean-mask scatters.  Property tests check that the deduplicated
-version returns the same pattern indices and Level 2 matrix.
+``decompose_tile`` is one partition of ``repro.core.sparsity.decompose_matrix``
+as it was before it matched each distinct row once: every row is matched
+against every pattern (float64 GEMM form of the Hamming distance) and
+Level 2 is built with boolean-mask scatters.  Property tests check that
+the deduplicated version returns the same pattern indices and Level 2
+matrix.
 
-The result carries its Level 2 as per-row nonzero counts, and its
-``level2`` property rebuilds the matrix from the tile and the pattern
-indices, so the oracle checks that rebuild against its own scatter.
-
-``rebuild_tile`` and ``level2_counts`` are how a store hit got its Level
-2 counts before the store kept them: one XOR popcount of each row's
+``assigned_distances`` and ``level2_counts`` are how a store hit got its
+Level 2 counts before the store kept them: one XOR popcount of each row's
 packed words against its assigned pattern.  Tests check the stored
 counts against this recount.
+
+``check_decomposition`` asserts what can actually be wrong with a
+decomposition.  Level 2 is built as the activations minus Level 1, so
+``L1 + L2 == A`` holds for any pattern assignment and proves nothing;
+the stored counts must instead equal both the built Level 2's nonzeros
+and the XOR popcount recount.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.core.patterns import PatternSet, pack_rows
-from repro.core.sparsity import TileDecomposition, partition_boundaries
+from repro.core.patterns import NO_PATTERN, PatternSet, pack_rows
+from repro.core.sparsity import MatrixDecomposition, partition_boundaries
 
 
-def decompose_tile(tile: np.ndarray, patterns: PatternSet) -> TileDecomposition:
+@dataclass(frozen=True)
+class TileResult:
+    """The per-row oracle's decomposition of one partition."""
+
+    pattern_indices: np.ndarray  # (M,) int32, NO_PATTERN for none
+    level2: np.ndarray  # (M, k) int8, values in {-1, 0, +1}
+
+    @property
+    def level2_nonzeros(self) -> np.ndarray:
+        return np.count_nonzero(self.level2, axis=1)
+
+
+def decompose_tile(tile: np.ndarray, patterns: PatternSet) -> TileResult:
     """Decompose one binary activation tile against a pattern set."""
     tile = np.asarray(tile).astype(np.uint8, copy=False)
     num_rows = tile.shape[0]
@@ -32,7 +49,7 @@ def decompose_tile(tile: np.ndarray, patterns: PatternSet) -> TileDecomposition:
     level2 = np.zeros(tile.shape, dtype=np.int8)
 
     if num_rows == 0:
-        return _checked(pattern_indices, level2, patterns, tile)
+        return TileResult(pattern_indices, level2)
 
     rows_f = tile.astype(np.float64)
     patterns_f = patterns.matrix.astype(np.float64)
@@ -55,20 +72,7 @@ def decompose_tile(tile: np.ndarray, patterns: PatternSet) -> TileDecomposition:
     level2[use_pattern] = level2_assigned.astype(np.int8)
     level2[~use_pattern] = tile[~use_pattern].astype(np.int8)
 
-    return _checked(pattern_indices, level2, patterns, tile)
-
-
-def _checked(
-    pattern_indices: np.ndarray, level2: np.ndarray, patterns: PatternSet, tile: np.ndarray
-) -> TileDecomposition:
-    result = TileDecomposition(
-        pattern_indices=pattern_indices,
-        level2_nonzeros=np.count_nonzero(level2, axis=1),
-        patterns=patterns,
-        original=tile,
-    )
-    np.testing.assert_array_equal(result.level2, level2)
-    return result
+    return TileResult(pattern_indices, level2)
 
 
 def assigned_distances(
@@ -89,24 +93,6 @@ def assigned_distances(
     )
 
 
-def rebuild_tile(
-    tile: np.ndarray, patterns: PatternSet, pattern_indices: np.ndarray
-) -> TileDecomposition:
-    """A tile decomposition recounted from its pattern assignments."""
-    tile = np.asarray(tile, dtype=np.uint8)
-    indices = np.asarray(pattern_indices, dtype=np.int32)
-    if indices.shape != (tile.shape[0],):
-        raise ValueError(
-            f"pattern_indices must have shape ({tile.shape[0]},), got {indices.shape}"
-        )
-    return TileDecomposition(
-        pattern_indices=indices,
-        level2_nonzeros=assigned_distances(patterns, tile, indices),
-        patterns=patterns,
-        original=tile,
-    )
-
-
 def level2_counts(
     activations: np.ndarray,
     pattern_sets,
@@ -121,6 +107,35 @@ def level2_counts(
         (activations.shape[0], len(boundaries)), dtype=np.min_scalar_type(widest)
     )
     for p, (patterns, (start, stop)) in enumerate(zip(pattern_sets, boundaries)):
-        tile = rebuild_tile(activations[:, start:stop], patterns, pattern_index_matrix[:, p])
-        counts[:, p] = tile.level2_nonzeros
+        counts[:, p] = assigned_distances(
+            patterns, activations[:, start:stop], pattern_index_matrix[:, p]
+        )
     return counts
+
+
+def check_decomposition(decomposition: MatrixDecomposition) -> None:
+    """Assert that a decomposition's stored matrices describe its activations.
+
+    Per (row, partition): the pattern index is in range, the stored Level
+    2 count equals the nonzeros of the built Level 2 and the XOR popcount
+    recount; Level 2 values lie in {-1, 0, +1}; and a ``NO_PATTERN`` row
+    carries its own bits in Level 2.
+    """
+    activations = decomposition.activations
+    level2 = decomposition.level2()
+    assert level2.dtype == np.int8
+    assert level2.shape == activations.shape
+    assert set(np.unique(level2).tolist()) <= {-1, 0, 1}
+    assert decomposition.level2_nonzeros.dtype.kind == "u"
+    for p, (patterns, (start, stop)) in enumerate(
+        zip(decomposition.pattern_sets, decomposition.boundaries)
+    ):
+        indices = decomposition.pattern_indices[:, p]
+        assert indices.min(initial=0) >= 0
+        assert indices.max(initial=0) <= patterns.num_patterns
+        tile, tile_level2 = activations[:, start:stop], level2[:, start:stop]
+        stored = decomposition.level2_nonzeros[:, p]
+        np.testing.assert_array_equal(stored, np.count_nonzero(tile_level2, axis=1))
+        np.testing.assert_array_equal(stored, assigned_distances(patterns, tile, indices))
+        unassigned = indices == NO_PATTERN
+        np.testing.assert_array_equal(tile_level2[unassigned], tile[unassigned])

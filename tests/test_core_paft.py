@@ -37,7 +37,7 @@ class TestPAFTConfig:
 class TestRegularizer:
     def test_regularizer_counts_level2_nonzeros(self, binary_matrix, calibration):
         decomposition = calibration.decompose(binary_matrix)
-        nnz = sum(int(np.count_nonzero(t.level2)) for t in decomposition.tiles)
+        nnz = int(np.count_nonzero(decomposition.level2()))
         value = layer_regularizer(binary_matrix, calibration, output_width=7)
         assert value == pytest.approx(7 * nnz)
 
@@ -72,8 +72,13 @@ class TestRegularizerGradient:
         assert grad.shape == binary_matrix.shape
         decomposition = calibration.decompose(binary_matrix)
         # Gradient is zero where Level 2 is zero (only mismatches feel pressure).
-        level2_full = np.hstack([t.level2 for t in decomposition.tiles])
-        assert np.all((grad != 0) <= (level2_full != 0))
+        level2 = decomposition.level2()
+        assert np.all((grad != 0) <= (level2 != 0))
+        # Assigned rows carry output_width * sign(mismatch), others nothing.
+        widths = [stop - start for start, stop in decomposition.boundaries]
+        assigned = np.repeat(decomposition.pattern_indices != 0, widths, axis=1)
+        assert np.any(assigned) and np.any(~assigned)
+        np.testing.assert_array_equal(grad, np.where(assigned, 3.0 * level2, 0.0))
 
     def test_gradient_scales_with_output_width(self, binary_matrix, calibration):
         g1 = paft_regularizer_gradient(binary_matrix, calibration, output_width=1)
@@ -98,7 +103,7 @@ class TestActivationAligner:
         # Rows that had a pattern now match it exactly; the remaining L2
         # nonzeros can only come from rows without an assigned pattern.
         original = calibration.decompose(binary_matrix)
-        assert decomposition.level2_density <= original.level2_density
+        assert decomposition.level2_nonzeros.sum() <= original.level2_nonzeros.sum()
 
     def test_alignment_reduces_level2_density(self, binary_matrix, calibration):
         aligner = ActivationAligner(alignment_strength=0.6, seed=3)

@@ -3,36 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.patterns import NO_PATTERN, Pattern, PatternSet
-
-
-class TestPattern:
-    def test_basic_properties(self):
-        pattern = Pattern(index=1, bits=np.array([1, 0, 1, 1], dtype=np.uint8))
-        assert pattern.width == 4
-        assert pattern.popcount == 3
-
-    def test_reserved_index_rejected(self):
-        with pytest.raises(ValueError):
-            Pattern(index=0, bits=np.array([1, 0], dtype=np.uint8))
-
-    def test_hamming_distance(self):
-        pattern = Pattern(index=2, bits=np.array([1, 1, 0, 0], dtype=np.uint8))
-        assert pattern.hamming_distance(np.array([1, 0, 0, 1])) == 2
-        assert pattern.hamming_distance(np.array([1, 1, 0, 0])) == 0
-
-    def test_hamming_distance_shape_mismatch(self):
-        pattern = Pattern(index=1, bits=np.array([1, 0], dtype=np.uint8))
-        with pytest.raises(ValueError):
-            pattern.hamming_distance(np.array([1, 0, 1]))
-
-    def test_equality_and_hash(self):
-        a = Pattern(index=1, bits=np.array([1, 0], dtype=np.uint8))
-        b = Pattern(index=1, bits=np.array([1, 0], dtype=np.uint8))
-        c = Pattern(index=2, bits=np.array([1, 0], dtype=np.uint8))
-        assert a == b
-        assert hash(a) == hash(b)
-        assert a != c
+from repro.core.patterns import PatternSet
+from repro.core.sparsity import decompose_matrix
 
 
 class TestPatternSet:
@@ -46,21 +18,12 @@ class TestPatternSet:
         assert len(pattern_set) == 3
 
     def test_indexing_is_one_based(self, pattern_set):
-        assert np.array_equal(pattern_set[1].bits, [1, 0, 1, 0])
-        assert np.array_equal(pattern_set[3].bits, [1, 1, 1, 1])
-
-    def test_index_out_of_range(self, pattern_set):
-        with pytest.raises(IndexError):
-            pattern_set[0]
-        with pytest.raises(IndexError):
-            pattern_set[4]
-
-    def test_bits_of_no_pattern_is_zero(self, pattern_set):
-        assert np.array_equal(pattern_set.bits_of(NO_PATTERN), np.zeros(4))
-
-    def test_iteration_yields_patterns(self, pattern_set):
-        patterns = list(pattern_set)
-        assert [p.index for p in patterns] == [1, 2, 3]
+        # Row i of the matrix is the pattern with index i + 1 (0 is "none"),
+        # both in a decomposition and in the PWP table.
+        decomposition = decompose_matrix(pattern_set.matrix, (pattern_set,), 4)
+        assert decomposition.pattern_indices[:, 0].tolist() == [1, 2, 3]
+        pwps = pattern_set.compute_pwps(np.eye(4))
+        assert np.array_equal(pwps[1:], pattern_set.matrix)
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
@@ -88,25 +51,16 @@ class TestPatternSet:
         assert counts.shape == (2, 3)
         assert counts[0, 0] == 0  # identical to pattern 1
         assert counts[1, 2] == 4  # all-zero row vs all-ones pattern
+        rows = np.array([[0, 0, 1, 1], [0, 1, 1, 0]], dtype=np.uint8)
+        assert pattern_set.match_counts(rows).tolist() == [[2, 2, 2], [2, 0, 2]]
 
     def test_match_counts_width_mismatch(self, pattern_set):
         with pytest.raises(ValueError):
             pattern_set.match_counts(np.zeros((2, 5), dtype=np.uint8))
 
-    def test_memory_bits(self, pattern_set):
-        assert pattern_set.memory_bits() == 12
-
     def test_matrix_is_read_only(self, pattern_set):
         with pytest.raises(ValueError):
             pattern_set.matrix[0, 0] = 1
-
-    def test_from_patterns(self):
-        pattern_set = PatternSet.from_patterns([[1, 0], [0, 1]])
-        assert pattern_set.num_patterns == 2
-
-    def test_from_patterns_empty(self):
-        with pytest.raises(ValueError):
-            PatternSet.from_patterns([])
 
     def test_equality(self, pattern_set):
         other = PatternSet(pattern_set.matrix.copy())

@@ -1,7 +1,7 @@
 """Unique-row k-means and matching equal their per-row oracles bit for bit.
 
 ``binary_kmeans`` runs Lloyd over the distinct rows weighted by their
-multiplicity, and ``decompose_tile`` matches each distinct row once.  The
+multiplicity, and ``decompose_matrix`` matches each distinct row once.  The
 per-row versions they replaced live in ``tests/reference/``; these tests
 check that both return exactly what the oracles return.  The widths cover
 both row-key paths: one ``uint64`` key up to 64 bits, void keys above.
@@ -19,7 +19,7 @@ from reference import sparsity as reference_sparsity
 from repro.core.config import KMeansConfig
 from repro.core.kmeans import binary_kmeans, hamming_distance_matrix, unique_binary_rows
 from repro.core.patterns import PatternSet, distinct_rows
-from repro.core.sparsity import decompose_tile
+from repro.core.sparsity import decompose_matrix
 
 WIDTHS = [1, 7, 8, 9, 63, 64, 65, 100]
 
@@ -116,23 +116,24 @@ def test_tolerance_early_stop():
 def test_deduplicated_decomposition_equals_per_row(tile, num_patterns, seed):
     rng = np.random.default_rng(seed)
     patterns = PatternSet((rng.random((num_patterns, tile.shape[1])) < 0.5).astype(np.uint8))
-    got = decompose_tile(tile, patterns)
+    got = decompose_matrix(tile, (patterns,), tile.shape[1])
     want = reference_sparsity.decompose_tile(tile, patterns)
-    np.testing.assert_array_equal(got.pattern_indices, want.pattern_indices)
+    np.testing.assert_array_equal(got.pattern_indices[:, 0], want.pattern_indices)
     assert got.pattern_indices.dtype == want.pattern_indices.dtype
-    np.testing.assert_array_equal(got.level2, want.level2)
-    assert got.level2.dtype == want.level2.dtype
+    np.testing.assert_array_equal(got.level2(), want.level2)
+    assert got.level2().dtype == want.level2.dtype
 
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_empty_tile(width):
     patterns = PatternSet(np.ones((3, width), dtype=np.uint8))
     tile = np.zeros((0, width), dtype=np.uint8)
-    got = decompose_tile(tile, patterns)
+    got = decompose_matrix(tile, (patterns,), width)
     want = reference_sparsity.decompose_tile(tile, patterns)
-    assert got.pattern_indices.shape == want.pattern_indices.shape == (0,)
-    assert got.level2.shape == want.level2.shape == (0, width)
-    assert got.level1_matrix().shape == (0, width)
+    assert got.pattern_indices.shape == (0, 1)
+    assert want.pattern_indices.shape == (0,)
+    assert got.level2().shape == want.level2.shape == (0, width)
+    assert got.level2_nonzeros.shape == (0, 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -155,3 +155,45 @@ class TestFig12AndDiscussion:
         result = run_discussion(TINY, workloads=(("vgg16", "cifar10"),))
         assert result.average_ratio() > 1.0
         assert "benefit_cost" in section("discussion", result)
+
+
+class TestFig11LosslessCheck:
+    def test_corrupted_decomposition_fails(self, monkeypatch):
+        # compute_output equals A @ W for any pattern assignment, so the
+        # check must also compare the stored Level 2 counts with Level 2.
+        from dataclasses import replace
+
+        from repro.core.calibration import LayerCalibration
+        from repro.datasets import make_dataset
+        from repro.experiments.fig11 import _verify_lossless
+        from repro.snn import build_model
+
+        dataset = make_dataset("cifar10", num_train=4, num_test=4)
+        network = build_model(
+            "vgg16",
+            num_classes=dataset.num_classes,
+            in_channels=3,
+            image_size=dataset.input_shape[-1],
+            num_steps=2,
+        )
+        data = dataset.test_data[:2]
+        assert _verify_lossless(network, data, TINY)
+
+        decompose = LayerCalibration.decompose
+        rng = np.random.default_rng(0)
+
+        def garbage(self, activations):
+            # Random pattern indices with all-zero Level 2 counts.
+            real = decompose(self, activations)
+            indices = np.stack(
+                [rng.integers(0, len(s) + 1, size=real.num_rows) for s in real.pattern_sets],
+                axis=1,
+            ).astype(np.int32)
+            return replace(
+                real,
+                pattern_indices=indices,
+                level2_nonzeros=np.zeros_like(real.level2_nonzeros),
+            )
+
+        monkeypatch.setattr(LayerCalibration, "decompose", garbage)
+        assert not _verify_lossless(network, data, TINY)

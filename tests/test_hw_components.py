@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from reference import preprocessor as oracle
 from reference.preprocessor import LABEL_NONZERO, LABEL_PSUM, CompressedRow, Pack, PackUnit
+from reference.sparsity import check_decomposition
 
 from repro.core.calibration import LayerCalibration, PhiCalibrator
 from repro.core.config import PhiConfig
 from repro.core.patterns import PatternSet
-from repro.core.sparsity import decompose_matrix, decompose_tile
+from repro.core.sparsity import decompose_matrix
 from repro.hw import ArchConfig, BufferSizes, PhiEnergyModel, PhiSimulator
 from repro.hw.l1_processor import L1Processor
 from repro.hw.l2_processor import L2Processor
@@ -115,9 +116,7 @@ class TestPatternMatcher:
         result = simulator.simulate_layer(layer, layer_calibration=calibration)
         assert result.preprocessor_cycles == 20
         assert result.pattern_match_comparisons == 20 * 3
-        assert np.array_equal(
-            decompose_tile(tile, small_patterns).reconstruct(), tile.astype(np.int8)
-        )
+        check_decomposition(decompose_matrix(tile, (small_patterns,), 8))
 
 
 class TestCompressorAndPacker:
@@ -188,7 +187,7 @@ class TestCompressorAndPacker:
 
     def test_preprocessor_end_to_end(self, arch, small_patterns, rng):
         tile = (rng.random((40, 8)) < 0.25).astype(np.uint8)
-        level2 = decompose_tile(tile, small_patterns).level2
+        level2 = decompose_matrix(tile, (small_patterns,), 8).level2()
         compressed = oracle.compress(level2)
         packed = oracle.pack_rows(arch, compressed.rows)
         nnz = int(np.count_nonzero(level2))
@@ -277,13 +276,16 @@ class TestCountsFastPath:
         assert counts.offsets.size == len(plan.m_tiles) * plan.num_partitions + 1
         tiles = iter(range(counts.offsets.size - 1))
         checked = 0
+        level2 = decomposition.level2()
         for m_start, m_stop in plan.m_tiles:
-            for p, tile in enumerate(decomposition.tiles):
+            for p, (k_start, k_stop) in enumerate(decomposition.boundaries):
                 t = next(tiles)
                 assert counts.needs_psum[t] == (p > 0)
                 if counts.needs_psum[t] != needs_psum:
                     continue
-                want = oracle.compress(tile.level2[m_start:m_stop], needs_psum=needs_psum)
+                want = oracle.compress(
+                    level2[m_start:m_stop, k_start:k_stop], needs_psum=needs_psum
+                )
                 row_ids, row_nonzeros = oracle.tile_rows(counts, t)
                 assert int(row_nonzeros.sum()) == want.total_nonzeros
                 assert row_ids.tolist() == [row.row_id for row in want.rows]

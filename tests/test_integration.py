@@ -7,6 +7,7 @@ losslessness -> simulate the accelerator -> compare against a baseline.
 
 import numpy as np
 import pytest
+from reference.sparsity import check_decomposition
 
 from repro.baselines import get_accelerator, get_baseline
 from repro.core import ActivationAligner, PhiCalibrator, PhiConfig
@@ -67,11 +68,9 @@ class TestEndToEndPipeline:
                 continue
             decomposition = calibration[layer.name].decompose(layer.activations)
             # Lossless on unseen data ...
-            assert np.array_equal(
-                decomposition.reconstruct(), layer.activations.astype(np.int8)
-            )
+            check_decomposition(decomposition)
             # ... and still sparser than plain bit sparsity.
-            assert decomposition.level2_density <= layer.bit_density + 1e-9
+            assert decomposition.level2_nonzeros.sum() <= layer.ones
 
     def test_paft_alignment_improves_simulated_speed(self, vgg_workload, phi_config):
         calibrator = PhiCalibrator(phi_config)

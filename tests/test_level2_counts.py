@@ -1,10 +1,11 @@
 """Decompositions count Level 2 per row instead of materialising it.
 
-``decompose_tile`` keeps each row's best Hamming distance (or popcount)
+``decompose_matrix`` keeps each row's best Hamming distance (or popcount)
 and ``rebuild_decomposition`` takes the stored counts back; every
 counting consumer reads those counts.  These tests check the counts
 against ``np.count_nonzero`` of the Level 2 matrix and against the XOR
-popcount recount in ``tests/reference/sparsity.py``, the metrics against
+popcount recount (``check_decomposition`` in
+``tests/reference/sparsity.py``), the metrics against
 the Level 2-scanning oracle in ``tests/reference/metrics.py``, that the
 simulator never builds Level 2, and the warm path's memory per
 (row, partition).
@@ -25,9 +26,8 @@ from repro.core.calibration import LayerCalibration
 from repro.core.metrics import decomposition_metrics
 from repro.core.patterns import PatternSet
 from repro.core.sparsity import (
-    TileDecomposition,
+    MatrixDecomposition,
     decompose_matrix,
-    decompose_tile,
     partition_boundaries,
     rebuild_decomposition,
 )
@@ -66,13 +66,6 @@ def layers(draw):
     return activations, tuple(pattern_sets), partition_size
 
 
-def _assert_counts_match_level2(tile: TileDecomposition) -> None:
-    assert tile.level2_nonzeros.dtype.kind == "u"
-    np.testing.assert_array_equal(
-        tile.level2_nonzeros, np.count_nonzero(tile.level2, axis=1)
-    )
-
-
 def _assert_same_metrics(decomposition) -> None:
     got = decomposition_metrics(decomposition)
     assert got == reference_metrics.decomposition_metrics(decomposition)
@@ -83,13 +76,15 @@ def _assert_same_metrics(decomposition) -> None:
 def test_decompose_counts_equal_level2_nonzeros(layer):
     activations, pattern_sets, partition_size = layer
     decomposition = decompose_matrix(activations, pattern_sets, partition_size)
-    for tile in decomposition.tiles:
-        _assert_counts_match_level2(tile)
-        alone = decompose_tile(tile.original, tile.patterns)
-        oracle = reference_sparsity.decompose_tile(tile.original, tile.patterns)
-        np.testing.assert_array_equal(alone.level2_nonzeros, tile.level2_nonzeros)
-        np.testing.assert_array_equal(oracle.level2_nonzeros, tile.level2_nonzeros)
-        assert alone.level2_nonzeros.dtype == np.min_scalar_type(tile.patterns.width)
+    reference_sparsity.check_decomposition(decomposition)
+    for p, (patterns, (start, stop)) in enumerate(zip(pattern_sets, decomposition.boundaries)):
+        tile = activations[:, start:stop]
+        alone = decompose_matrix(tile, (patterns,), stop - start)
+        oracle = reference_sparsity.decompose_tile(tile, patterns)
+        counts = decomposition.level2_nonzeros[:, p]
+        np.testing.assert_array_equal(alone.level2_nonzeros[:, 0], counts)
+        np.testing.assert_array_equal(oracle.level2_nonzeros, counts)
+        assert alone.level2_nonzeros.dtype == np.min_scalar_type(patterns.width)
     _assert_same_metrics(decomposition)
 
 
@@ -111,13 +106,14 @@ def test_rebuild_counts_equal_level2_nonzeros(layer, data):
     rebuilt = rebuild_decomposition(
         activations, pattern_sets, partition_size, indices, counts
     )
-    for p, tile in enumerate(rebuilt.tiles):
-        _assert_counts_match_level2(tile)
+    reference_sparsity.check_decomposition(rebuilt)
+    for p, (patterns, (start, stop)) in enumerate(zip(pattern_sets, rebuilt.boundaries)):
+        bits = np.vstack([np.zeros((1, patterns.width), np.uint8), patterns.matrix])
         by_row = [
-            np.count_nonzero(row != tile.patterns.bits_of(int(index)))
-            for row, index in zip(tile.original, indices[:, p])
+            np.count_nonzero(row != bits[index])
+            for row, index in zip(activations[:, start:stop], indices[:, p])
         ]
-        np.testing.assert_array_equal(tile.level2_nonzeros, by_row)
+        np.testing.assert_array_equal(rebuilt.level2_nonzeros[:, p], by_row)
     _assert_same_metrics(rebuilt)
 
     decomposed = decompose_matrix(activations, pattern_sets, partition_size)
@@ -164,7 +160,7 @@ def test_simulating_never_builds_level2(monkeypatch):
     def level2_built(self):
         raise AssertionError("Level 2 was materialised")
 
-    monkeypatch.setattr(TileDecomposition, "level2", property(level2_built))
+    monkeypatch.setattr(MatrixDecomposition, "level2", level2_built)
     simulator = PhiSimulator(arch)
     from_store = simulator.simulate_layer(
         layer, layer_calibration=calibration, decomposition=rebuilt

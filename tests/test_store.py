@@ -122,10 +122,11 @@ class TestArtifactRoundtrips:
             np.testing.assert_array_equal(
                 restored.level2_nonzeros, original.level2_nonzeros
             )
-            for a, b in zip(original.tiles, restored.tiles):
-                np.testing.assert_array_equal(a.pattern_indices, b.pattern_indices)
-                np.testing.assert_array_equal(a.level2, b.level2)
-                np.testing.assert_array_equal(a.original, b.original)
+            np.testing.assert_array_equal(
+                restored.pattern_indices, original.pattern_indices
+            )
+            np.testing.assert_array_equal(restored.activations, original.activations)
+            reference_sparsity.check_decomposition(restored)
 
     def test_rebuild_decomposition_matches_decompose_matrix(self):
         workload, config = tiny_workload(seed=3), tiny_config()
@@ -143,9 +144,10 @@ class TestArtifactRoundtrips:
             direct.pattern_indices,
             direct.level2_nonzeros,
         )
-        np.testing.assert_array_equal(rebuilt.reconstruct(), direct.reconstruct())
-        for a, b in zip(direct.tiles, rebuilt.tiles):
-            np.testing.assert_array_equal(a.level2, b.level2)
+        np.testing.assert_array_equal(rebuilt.pattern_indices, direct.pattern_indices)
+        np.testing.assert_array_equal(rebuilt.level2_nonzeros, direct.level2_nonzeros)
+        np.testing.assert_array_equal(rebuilt.level2(), direct.level2())
+        reference_sparsity.check_decomposition(rebuilt)
 
     def test_corrupt_artifact_counts_as_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
