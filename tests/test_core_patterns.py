@@ -7,6 +7,20 @@ from repro.core.patterns import PatternSet
 from repro.core.sparsity import decompose_matrix
 
 
+class TestPattern:
+    """One pattern's Hamming distance, read from a one-pattern set."""
+
+    def test_hamming_distance(self):
+        pattern = PatternSet(np.array([[1, 1, 0, 0]], dtype=np.uint8))
+        rows = np.array([[1, 0, 0, 1], [1, 1, 0, 0]], dtype=np.uint8)
+        assert pattern.match_counts(rows).tolist() == [[2], [0]]
+
+    def test_hamming_distance_shape_mismatch(self):
+        pattern = PatternSet(np.array([[1, 0]], dtype=np.uint8))
+        with pytest.raises(ValueError):
+            pattern.match_counts(np.array([[1, 0, 1]], dtype=np.uint8))
+
+
 class TestPatternSet:
     @pytest.fixture
     def pattern_set(self):
@@ -51,8 +65,6 @@ class TestPatternSet:
         assert counts.shape == (2, 3)
         assert counts[0, 0] == 0  # identical to pattern 1
         assert counts[1, 2] == 4  # all-zero row vs all-ones pattern
-        rows = np.array([[0, 0, 1, 1], [0, 1, 1, 0]], dtype=np.uint8)
-        assert pattern_set.match_counts(rows).tolist() == [[2, 2, 2], [2, 0, 2]]
 
     def test_match_counts_width_mismatch(self, pattern_set):
         with pytest.raises(ValueError):
